@@ -47,17 +47,18 @@ func apiConfig(fl *fleet, limit *serve.RateLimit, precision string, ring *obs.Ri
 	}
 }
 
-// runHTTP serves the fleet API until the process is interrupted.
-func runHTTP(addr string, fl *fleet, srv *serve.MultiServer, limit *serve.RateLimit, precision string, ring *obs.Ring, pprof bool) {
-	api := serve.NewAPI(srv, fl.reg, apiConfig(fl, limit, precision, ring, pprof))
-	extra := ""
-	if ring != nil {
-		extra += ", GET /debug/trace"
+// runHTTP serves a built API — over a registry fleet or a shard fleet —
+// until the process is interrupted. trace and pprof say whether the
+// optional debug routes are live, for the banner.
+func runHTTP(addr string, api *serve.API, trace, pprof bool) {
+	routes := "POST /predict, POST /predict_nodes, GET /vaults, GET /stats, GET /metrics, GET /healthz, GET /readyz"
+	if trace {
+		routes += ", GET /debug/trace"
 	}
 	if pprof {
-		extra += ", GET /debug/pprof/"
+		routes += ", GET /debug/pprof/"
 	}
-	fmt.Printf("HTTP API on %s: POST /predict, POST /predict_nodes, GET /vaults, GET /stats, GET /metrics%s\n", addr, extra)
+	fmt.Printf("HTTP API on %s: %s\n", addr, routes)
 	if err := http.ListenAndServe(addr, api.Handler()); err != nil {
 		fmt.Fprintln(os.Stderr, "http server:", err)
 		os.Exit(1)

@@ -72,7 +72,7 @@ func cmdServe(args []string) {
 	rateLimit := fs.Float64("rate-limit", 0, "per-client sustained answered-labels/second over the HTTP API (0 = unlimited)")
 	rateBurst := fs.Int("rate-burst", 0, "per-client token-bucket capacity in labels (0 = derived from -rate-limit)")
 	queryBudget := fs.Int("query-budget", 0, "per-client lifetime cap on total answered labels (0 = unlimited)")
-	deadline := fs.Duration("deadline", 0, "per-request serving deadline on a shard fleet, enqueue to answer — expired requests fail with 503 and a Retry-After (0 = unbounded; sharded only)")
+	deadline := fs.Duration("deadline", 0, "per-request serving deadline, enqueue to answer — expired requests fail with 503 and a Retry-After, whether still queued or mid-pass (0 = unbounded)")
 	maxRetries := fs.Int("max-retries", 0, "node-query admission retries while the owning shard's breaker is open, each a jittered backoff bounded by -deadline (sharded only)")
 	chaosKills := fs.Int("chaos", 0, "inject this many seeded shard kills (alternating ECALL-abort storms and enclave loss) during the sharded synthetic stream and report breaker trips, restarts and time-to-recovery (requires -shards > 1, no -http)")
 	metricsOn := fs.Bool("metrics", false, "record flight-recorder spans (per-op, ECALL, plan/evict) into a live telemetry ring; implied by -trace-buffer")
@@ -111,11 +111,11 @@ func cmdServe(args []string) {
 		ring = obs.NewRing(capacity)
 		recorder = ring
 	}
+	var limit *serve.RateLimit
+	if *rateLimit > 0 || *queryBudget > 0 {
+		limit = &serve.RateLimit{PerSec: *rateLimit, Burst: *rateBurst, Budget: *queryBudget}
+	}
 	if *shards > 1 {
-		var limit *serve.RateLimit
-		if *rateLimit > 0 || *queryBudget > 0 {
-			limit = &serve.RateLimit{PerSec: *rateLimit, Burst: *rateBurst, Budget: *queryBudget}
-		}
 		if *exposeScores {
 			fmt.Fprintln(os.Stderr, "serve: -shards is label-only; -expose-scores is not supported on a shard fleet")
 			os.Exit(2)
@@ -135,8 +135,8 @@ func cmdServe(args []string) {
 		})
 		return
 	}
-	if *deadline > 0 || *maxRetries > 0 || *chaosKills > 0 {
-		fmt.Fprintln(os.Stderr, "serve: -deadline, -max-retries and -chaos apply to a shard fleet; set -shards > 1")
+	if *maxRetries > 0 || *chaosKills > 0 {
+		fmt.Fprintln(os.Stderr, "serve: -max-retries and -chaos apply to a shard fleet; set -shards > 1")
 		os.Exit(2)
 	}
 	fl := buildFleet(*dataset, *design, *sub, *epochs, *seed, *epcMB, *wsPerVault, plan, nq, recorder)
@@ -146,15 +146,12 @@ func cmdServe(args []string) {
 		ExposeScores: *exposeScores,
 		RoundDigits:  *roundDigits,
 		TopK:         *topK,
+		Deadline:     *deadline,
 	})
 	defer func() {
 		srv.Close()
 		fl.reg.Close()
 	}()
-	var limit *serve.RateLimit
-	if *rateLimit > 0 || *queryBudget > 0 {
-		limit = &serve.RateLimit{PerSec: *rateLimit, Burst: *rateBurst, Budget: *queryBudget}
-	}
 
 	mode := "untiled workspaces"
 	if *epcBudgetMB > 0 {
@@ -167,7 +164,8 @@ func cmdServe(args []string) {
 		len(fl.vaults), float64(fl.encl.EPCUsed())/(1<<20), fl.encl.EPCLimit()>>20, *workers, mode)
 
 	if *httpAddr != "" {
-		runHTTP(*httpAddr, fl, srv, limit, prec.String(), ring, *pprofOn)
+		api := serve.NewAPI(srv, fl.reg, apiConfig(fl, limit, prec.String(), ring, *pprofOn))
+		runHTTP(*httpAddr, api, ring != nil, *pprofOn)
 		return
 	}
 	runSyntheticStream(fl, srv, *clients, *requests)

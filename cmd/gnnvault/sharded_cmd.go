@@ -3,7 +3,6 @@ package main
 import (
 	"fmt"
 	"math/rand"
-	"net/http"
 	"os"
 	"sync"
 	"sync/atomic"
@@ -12,7 +11,6 @@ import (
 	"gnnvault/internal/core"
 	"gnnvault/internal/datasets"
 	"gnnvault/internal/enclave"
-	"gnnvault/internal/mat"
 	"gnnvault/internal/obs"
 	"gnnvault/internal/registry"
 	"gnnvault/internal/serve"
@@ -113,39 +111,18 @@ func runSharded(cfg shardedServeConfig) {
 	}
 
 	if cfg.httpAddr != "" {
-		runShardedHTTP(cfg, srv, info, ds)
+		// The API catalogs the fleet's one vault like a registry fleet
+		// member; there is no registry, residency is static.
+		fl := &fleet{
+			vaults:      []vaultInfo{info},
+			data:        map[string]*datasets.Dataset{info.Dataset: ds},
+			nodeQueries: cfg.nq != nil,
+		}
+		api := serve.NewShardedAPI(srv, apiConfig(fl, cfg.limit, cfg.precision, cfg.ring, cfg.pprof))
+		runHTTP(cfg.httpAddr, api, cfg.ring != nil, cfg.pprof)
 		return
 	}
 	runShardedStream(cfg, srv, sv, info, ds)
-}
-
-// runShardedHTTP serves the shard fleet behind the same HTTP surface as
-// the registry fleet, with the per-shard metric families on /metrics.
-func runShardedHTTP(cfg shardedServeConfig, srv *serve.ShardedServer, info vaultInfo, ds *datasets.Dataset) {
-	api := serve.NewShardedAPI(srv, serve.APIConfig{
-		Vaults: []serve.APIVault{{
-			ID: info.ID, Dataset: info.Dataset, Design: info.Design,
-			Nodes: info.Nodes, Params: info.Params,
-		}},
-		Features:    func(string) *mat.Matrix { return ds.X },
-		NodeQueries: cfg.nq != nil,
-		Limit:       cfg.limit,
-		Precision:   cfg.precision,
-		Trace:       cfg.ring,
-		EnablePprof: cfg.pprof,
-	})
-	extra := ""
-	if cfg.ring != nil {
-		extra += ", GET /debug/trace"
-	}
-	if cfg.pprof {
-		extra += ", GET /debug/pprof/"
-	}
-	fmt.Printf("HTTP API on %s: POST /predict, POST /predict_nodes, GET /vaults, GET /stats, GET /metrics%s\n", cfg.httpAddr, extra)
-	if err := http.ListenAndServe(cfg.httpAddr, api.Handler()); err != nil {
-		fmt.Fprintln(os.Stderr, "http server:", err)
-		os.Exit(1)
-	}
 }
 
 // runShardedStream drives the synthetic client mix against the shard

@@ -70,8 +70,8 @@ type APIConfig struct {
 // below it has no notion of who is asking — which is why the rate limiter
 // lives here.
 type API struct {
-	srv       *MultiServer
-	shard     *ShardedServer // non-nil routes the serving surface to a shard fleet
+	p         *pool
+	shard     *ShardedServer // non-nil for a shard fleet: the shard-only /stats, /readyz and /metrics sections
 	reg       *registry.Registry
 	cfg       APIConfig
 	lim       *limiter
@@ -83,8 +83,13 @@ type API struct {
 // NewAPI builds the shared serving surface over a running MultiServer and
 // its registry.
 func NewAPI(srv *MultiServer, reg *registry.Registry, cfg APIConfig) *API {
+	return newAPI(srv.p, reg, nil, cfg)
+}
+
+func newAPI(p *pool, reg *registry.Registry, shard *ShardedServer, cfg APIConfig) *API {
 	a := &API{
-		srv:       srv,
+		p:         p,
+		shard:     shard,
 		reg:       reg,
 		cfg:       cfg,
 		byID:      make(map[string]*APIVault, len(cfg.Vaults)),
@@ -113,50 +118,7 @@ func NewAPI(srv *MultiServer, reg *registry.Registry, cfg APIConfig) *API {
 // is static (every shard holds its slab for the deployment's lifetime),
 // so the scheduler metric families are not emitted.
 func NewShardedAPI(srv *ShardedServer, cfg APIConfig) *API {
-	a := NewAPI(nil, nil, cfg)
-	a.shard = srv
-	return a
-}
-
-// The serve* helpers dispatch one pool call to whichever back-end this API
-// fronts: the multi-vault registry pool or the shard fleet. The sharded
-// path ignores the vault ID — lookup already pinned it to the catalog —
-// and refuses score queries (label-only fleet).
-
-func (a *API) servePredict(vault string, x *mat.Matrix) ([]int, error) {
-	if a.shard != nil {
-		return a.shard.Predict(x)
-	}
-	return a.srv.Predict(vault, x)
-}
-
-func (a *API) servePredictScores(vault string, x *mat.Matrix) ([][]float64, []int, error) {
-	if a.shard != nil {
-		return a.shard.PredictScores(x)
-	}
-	return a.srv.PredictScores(vault, x)
-}
-
-func (a *API) servePredictNodes(vault string, nodes []int) ([]int, error) {
-	if a.shard != nil {
-		return a.shard.PredictNodes(nodes)
-	}
-	return a.srv.PredictNodes(vault, nodes)
-}
-
-func (a *API) servePredictNodesScores(vault string, nodes []int) ([][]float64, []int, error) {
-	if a.shard != nil {
-		return a.shard.PredictNodesScores(nodes)
-	}
-	return a.srv.PredictNodesScores(vault, nodes)
-}
-
-// serveStats snapshots whichever worker pool this API fronts.
-func (a *API) serveStats() Stats {
-	if a.shard != nil {
-		return a.shard.Stats()
-	}
-	return a.srv.Stats()
+	return newAPI(srv.p, nil, srv, cfg)
 }
 
 // lookup resolves a vault ID and validates the requested node indices.
@@ -205,7 +167,7 @@ func (a *API) predict(client, vault string, nodes []int) ([]int, error) {
 	if err := a.allow(client, cost); err != nil {
 		return nil, err
 	}
-	labels, err := a.servePredict(vault, a.cfg.Features(vault))
+	labels, err := a.p.predict(vault, a.cfg.Features(vault))
 	if err != nil {
 		return nil, err
 	}
@@ -234,7 +196,7 @@ func (a *API) predictScores(client, vault string, nodes []int) ([][]float64, []i
 	if err := a.allow(client, cost); err != nil {
 		return nil, nil, err
 	}
-	scores, labels, err := a.servePredictScores(vault, a.cfg.Features(vault))
+	scores, labels, err := a.p.predictScores(vault, a.cfg.Features(vault))
 	if err != nil {
 		return nil, nil, err
 	}
@@ -263,7 +225,7 @@ func (a *API) predictNodes(client, vault string, nodes []int) ([]int, error) {
 	if err := a.allow(client, len(nodes)); err != nil {
 		return nil, err
 	}
-	return a.servePredictNodes(vault, nodes)
+	return a.p.predictNodes(vault, nodes)
 }
 
 // PredictNodesScores is PredictNodes over the defended score surface.
@@ -287,7 +249,7 @@ func (a *API) predictNodesScores(client, vault string, nodes []int) ([][]float64
 	if err := a.allow(client, len(nodes)); err != nil {
 		return nil, nil, err
 	}
-	return a.servePredictNodesScores(vault, nodes)
+	return a.p.predictNodesScores(vault, nodes)
 }
 
 // pickInts gathers the selected entries of all, or returns all when no
@@ -346,6 +308,8 @@ type apiResponse struct {
 //	GET  /vaults                                                               → fleet catalog
 //	GET  /stats                                                                → serving + scheduler + EPC counters
 //	GET  /metrics                                                              → Prometheus text exposition
+//	GET  /healthz                                                              → liveness probe
+//	GET  /readyz                                                               → readiness probe (503 while a shard is out)
 //	GET  /debug/trace?n=K                                                      → last K flight-recorder spans as trees
 //	GET  /debug/pprof/                                                         → net/http/pprof (when EnablePprof)
 //
@@ -450,7 +414,7 @@ func (a *API) handleVaults(w http.ResponseWriter, r *http.Request) {
 }
 
 func (a *API) handleStats(w http.ResponseWriter, r *http.Request) {
-	st := a.serveStats()
+	st := a.p.stats()
 	resp := map[string]any{
 		"serving": map[string]any{
 			"requests":       st.Requests,
@@ -582,7 +546,7 @@ func httpStatus(err error) int {
 		return http.StatusForbidden
 	case errors.Is(err, registry.ErrUnknownVault):
 		return http.StatusNotFound
-	case errors.Is(err, registry.ErrNodeQueriesDisabled), errors.Is(err, ErrNodeQueriesDisabled):
+	case errors.Is(err, ErrNodeQueriesDisabled):
 		return http.StatusNotImplemented
 	case errors.Is(err, subgraph.ErrTooManySeeds),
 		errors.Is(err, core.ErrNodeOutOfRange),

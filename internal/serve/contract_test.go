@@ -1,8 +1,10 @@
 package serve
 
 import (
+	"context"
 	"errors"
 	"testing"
+	"time"
 
 	"gnnvault/internal/core"
 	"gnnvault/internal/enclave"
@@ -158,6 +160,34 @@ func TestServingContractEveryBackend(t *testing.T) {
 			}
 			if _, err := s.predictNodes([]int{0}); !errors.Is(err, ErrClosed) {
 				t.Fatalf("PredictNodes after Close: %v, want ErrClosed", err)
+			}
+		})
+	}
+}
+
+// TestDeadlineEveryBackend runs TestShardedDeadline's script against the
+// single-vault and registry front-ends: Config.Deadline is honoured by
+// the shared pool, so under a deadline no request can meet both
+// endpoints fail with context.DeadlineExceeded, the deadline counter
+// counts them, and the accounting reconciles.
+func TestDeadlineEveryBackend(t *testing.T) {
+	ds, _, _ := testShardedVault(t)
+	for _, b := range contractBackends()[:2] {
+		t.Run(b.name, func(t *testing.T) {
+			s := b.start(t, Config{Workers: 2, Deadline: time.Nanosecond})
+			defer s.close()
+			if _, err := s.predict(ds.X); !errors.Is(err, context.DeadlineExceeded) {
+				t.Fatalf("Predict under 1ns deadline: %v, want DeadlineExceeded", err)
+			}
+			if _, err := s.predictNodes([]int{0}); !errors.Is(err, context.DeadlineExceeded) {
+				t.Fatalf("PredictNodes under 1ns deadline: %v, want DeadlineExceeded", err)
+			}
+			st := s.stats()
+			if st.DeadlineExceeded != 2 {
+				t.Fatalf("DeadlineExceeded = %d, want 2", st.DeadlineExceeded)
+			}
+			if st.Requests != st.Completed+st.Errors {
+				t.Fatalf("counters do not reconcile: %d requests, %d completed + %d errors", st.Requests, st.Completed, st.Errors)
 			}
 		})
 	}

@@ -30,6 +30,8 @@ const (
 	mServeBatches   = "gnnvault_serve_batches_total"
 	mServeLatency   = "gnnvault_serve_latency_seconds"
 	mSpillBytes     = "gnnvault_spill_bytes_total"
+	// Requests failed by Config.Deadline, queued or mid-pass.
+	mDeadlineExceeded = "gnnvault_deadline_exceeded_total"
 
 	// Registry scheduler: residency and plan/evict churn.
 	mVaultResident = "gnnvault_vault_resident"
@@ -53,11 +55,10 @@ const (
 	mShardFanout  = "gnnvault_shard_fanout_seconds"
 
 	// Fault tolerance (sharded serving only): breaker and recovery state
-	// plus the degradation and deadline counters.
-	mShardRestarts    = "gnnvault_shard_restarts_total"
-	mBreakerState     = "gnnvault_breaker_state"
-	mDegraded         = "gnnvault_requests_degraded_total"
-	mDeadlineExceeded = "gnnvault_deadline_exceeded_total"
+	// plus the degradation counter.
+	mShardRestarts = "gnnvault_shard_restarts_total"
+	mBreakerState  = "gnnvault_breaker_state"
+	mDegraded      = "gnnvault_requests_degraded_total"
 )
 
 // Endpoint label values.
@@ -134,7 +135,7 @@ func (a *API) handleMetrics(w http.ResponseWriter, r *http.Request) {
 		obs.WriteSample(w, mRateLimited, []obs.Label{{Name: "vault", Value: id}}, float64(a.vm[id].rateLimited.Load()))
 	}
 
-	st := a.serveStats()
+	st := a.p.stats()
 	obs.WriteHeader(w, mServeRequests, "counter", "Requests accepted by the worker pool.")
 	obs.WriteSample(w, mServeRequests, nil, float64(st.Requests))
 	obs.WriteHeader(w, mServeCompleted, "counter", "Requests answered successfully by the worker pool.")
@@ -148,6 +149,8 @@ func (a *API) handleMetrics(w http.ResponseWriter, r *http.Request) {
 	obs.WriteHistogram(w, mServeLatency, []obs.Label{{Name: "endpoint", Value: epPredictNodes}}, st.NodeLatency, nsToSeconds)
 	obs.WriteHeader(w, mSpillBytes, "counter", "Modelled tile-flush traffic of answered full-graph requests.")
 	obs.WriteSample(w, mSpillBytes, nil, float64(st.SpillBytes))
+	obs.WriteHeader(w, mDeadlineExceeded, "counter", "Requests that failed their serving deadline (queued or mid-pass).")
+	obs.WriteSample(w, mDeadlineExceeded, nil, float64(st.DeadlineExceeded))
 
 	if a.reg != nil {
 		rst := a.reg.Stats()
@@ -197,8 +200,6 @@ func (a *API) handleMetrics(w http.ResponseWriter, r *http.Request) {
 		}
 		obs.WriteHeader(w, mDegraded, "counter", "Node queries answered successfully while some shard was offline.")
 		obs.WriteSample(w, mDegraded, nil, float64(st.Degraded))
-		obs.WriteHeader(w, mDeadlineExceeded, "counter", "Requests that failed their serving deadline (queued or mid-fan-out).")
-		obs.WriteSample(w, mDeadlineExceeded, nil, float64(st.DeadlineExceeded))
 	}
 }
 

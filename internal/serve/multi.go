@@ -1,50 +1,18 @@
 package serve
 
 import (
-	"sync"
-	"sync/atomic"
-	"time"
-
-	"gnnvault/internal/core"
 	"gnnvault/internal/mat"
 	"gnnvault/internal/registry"
 )
 
-// mrequest is one queued multi-vault inference: a request plus the vault
-// ID it is routed to. A non-nil nodes marks a node-level query.
-type mrequest struct {
-	vault  string
-	x      *mat.Matrix
-	nodes  []int
-	out    []int
-	scores [][]float64 // non-nil marks a score query; one row per label
-	err    error
-	enq    time.Time
-	done   chan struct{}
-}
-
 // MultiServer routes label queries across a fleet of vaults sharing one
 // enclave. Workers pull requests off a single bounded queue and check
-// workspaces out of a registry.Registry per request, so which vaults hold
-// EPC at any moment follows the traffic: hot vaults keep cached
-// workspaces (and stay on the allocation-free path), cold vaults pay a
-// plan — and possibly evict an idle tenant — on their next request. The
-// registry's Stats expose that churn.
-type MultiServer struct {
-	reg  *registry.Registry
-	cfg  Config
-	reqs chan *mrequest
-	pool sync.Pool
-
-	// sendMu lets Close wait out in-flight Predict sends before closing
-	// the queue channel (same protocol as Server).
-	sendMu sync.RWMutex
-	closed atomic.Bool
-	wg     sync.WaitGroup
-	start  time.Time
-
-	counters
-}
+// workspaces out of a registry.Registry once per same-vault run, so which
+// vaults hold EPC at any moment follows the traffic: hot vaults keep
+// cached workspaces (and stay on the allocation-free path), cold vaults
+// pay a plan — and possibly evict an idle tenant — on their next request.
+// The registry's Stats expose that churn.
+type MultiServer struct{ p *pool }
 
 // NewMulti starts a worker pool over the registry's vault fleet. Unlike
 // New, nothing is planned up front: workspace residency is entirely
@@ -53,18 +21,13 @@ type MultiServer struct {
 // registry; Close stops the workers without closing it.
 func NewMulti(reg *registry.Registry, cfg Config) *MultiServer {
 	cfg = cfg.withDefaults()
-	s := &MultiServer{
-		reg:   reg,
-		cfg:   cfg,
-		reqs:  make(chan *mrequest, cfg.QueueDepth),
-		start: time.Now(),
+	lanes := make([]lane, cfg.Workers)
+	for i := range lanes {
+		lanes[i] = &vaultLane{reg: reg}
 	}
-	s.pool.New = func() any { return &mrequest{done: make(chan struct{}, 1)} }
-	for i := 0; i < cfg.Workers; i++ {
-		s.wg.Add(1)
-		go s.worker()
-	}
-	return s
+	// Whether a vault serves node queries is the registry's call, made
+	// per vault at checkout.
+	return &MultiServer{newPool(cfg, true, lanes, nil)}
 }
 
 // Predict enqueues one inference over x for the vault registered under
@@ -73,31 +36,7 @@ func NewMulti(reg *registry.Registry, cfg Config) *MultiServer {
 // backpressure when the queue is full. Unknown vault IDs surface as
 // registry.ErrUnknownVault.
 func (s *MultiServer) Predict(vaultID string, x *mat.Matrix) ([]int, error) {
-	req := s.pool.Get().(*mrequest)
-	req.vault = vaultID
-	req.x = x
-	req.out = make([]int, x.Rows)
-	req.err = nil
-	req.enq = time.Now()
-
-	s.sendMu.RLock()
-	if s.closed.Load() {
-		s.sendMu.RUnlock()
-		s.pool.Put(req)
-		return nil, ErrClosed
-	}
-	s.requests.Add(1)
-	s.reqs <- req
-	s.sendMu.RUnlock()
-
-	<-req.done
-	out, err := req.out, req.err
-	req.x, req.out, req.err = nil, nil, nil
-	s.pool.Put(req)
-	if err != nil {
-		return nil, err
-	}
-	return out, nil
+	return s.p.predict(vaultID, x)
 }
 
 // PredictScores enqueues one inference over x for the vault registered
@@ -107,35 +46,7 @@ func (s *MultiServer) Predict(vaultID string, x *mat.Matrix) ([]int, error) {
 // Config.ExposeScores. Returned slices are freshly allocated and owned by
 // the caller.
 func (s *MultiServer) PredictScores(vaultID string, x *mat.Matrix) ([][]float64, []int, error) {
-	if !s.cfg.ExposeScores {
-		return nil, nil, ErrScoresDisabled
-	}
-	req := s.pool.Get().(*mrequest)
-	req.vault = vaultID
-	req.x = x
-	req.out = make([]int, x.Rows)
-	req.scores = make([][]float64, x.Rows)
-	req.err = nil
-	req.enq = time.Now()
-
-	s.sendMu.RLock()
-	if s.closed.Load() {
-		s.sendMu.RUnlock()
-		s.pool.Put(req)
-		return nil, nil, ErrClosed
-	}
-	s.requests.Add(1)
-	s.reqs <- req
-	s.sendMu.RUnlock()
-
-	<-req.done
-	scores, out, err := req.scores, req.out, req.err
-	req.x, req.out, req.scores, req.err = nil, nil, nil, nil
-	s.pool.Put(req)
-	if err != nil {
-		return nil, nil, err
-	}
-	return scores, out, nil
+	return s.p.predictScores(vaultID, x)
 }
 
 // PredictNodesScores is PredictNodes for fleets exposing scores: one
@@ -143,39 +54,7 @@ func (s *MultiServer) PredictScores(vaultID string, x *mat.Matrix) ([][]float64,
 // same coalesced subgraph extractions. Fails with ErrScoresDisabled
 // unless the server was started with Config.ExposeScores.
 func (s *MultiServer) PredictNodesScores(vaultID string, nodes []int) ([][]float64, []int, error) {
-	if !s.cfg.ExposeScores {
-		return nil, nil, ErrScoresDisabled
-	}
-	if len(nodes) == 0 {
-		return [][]float64{}, []int{}, nil
-	}
-	req := s.pool.Get().(*mrequest)
-	req.vault = vaultID
-	req.x = nil
-	req.nodes = nodes
-	req.out = make([]int, len(nodes))
-	req.scores = make([][]float64, len(nodes))
-	req.err = nil
-	req.enq = time.Now()
-
-	s.sendMu.RLock()
-	if s.closed.Load() {
-		s.sendMu.RUnlock()
-		s.pool.Put(req)
-		return nil, nil, ErrClosed
-	}
-	s.requests.Add(1)
-	s.reqs <- req
-	s.sendMu.RUnlock()
-
-	<-req.done
-	scores, out, err := req.scores, req.out, req.err
-	req.vault, req.nodes, req.out, req.scores, req.err = "", nil, nil, nil, nil
-	s.pool.Put(req)
-	if err != nil {
-		return nil, nil, err
-	}
-	return scores, out, nil
+	return s.p.predictNodesScores(vaultID, nodes)
 }
 
 // PredictNodes enqueues one node-level query for the vault registered
@@ -188,230 +67,16 @@ func (s *MultiServer) PredictNodesScores(vaultID string, nodes []int) ([][]float
 // returns; the returned slice is freshly allocated and owned by the
 // caller.
 func (s *MultiServer) PredictNodes(vaultID string, nodes []int) ([]int, error) {
-	if len(nodes) == 0 {
-		return []int{}, nil
-	}
-	req := s.pool.Get().(*mrequest)
-	req.vault = vaultID
-	req.x = nil
-	req.nodes = nodes
-	req.out = make([]int, len(nodes))
-	req.err = nil
-	req.enq = time.Now()
-
-	s.sendMu.RLock()
-	if s.closed.Load() {
-		s.sendMu.RUnlock()
-		s.pool.Put(req)
-		return nil, ErrClosed
-	}
-	s.requests.Add(1)
-	s.reqs <- req
-	s.sendMu.RUnlock()
-
-	<-req.done
-	out, err := req.out, req.err
-	req.x, req.nodes, req.out, req.err = nil, nil, nil, nil
-	s.pool.Put(req)
-	if err != nil {
-		return nil, err
-	}
-	return out, nil
-}
-
-// worker drains the queue in micro-batches. Within a batch, consecutive
-// requests for the same vault share one workspace checkout, so a burst of
-// same-vault traffic pays the registry exactly once.
-func (s *MultiServer) worker() {
-	defer s.wg.Done()
-	batch := make([]*mrequest, 0, s.cfg.MaxBatch)
-	st := &mworkerState{
-		full: make([]*mrequest, 0, s.cfg.MaxBatch),
-		node: make([]*mrequest, 0, s.cfg.MaxBatch),
-	}
-	for {
-		req, ok := <-s.reqs
-		if !ok {
-			return
-		}
-		batch = append(batch[:0], req)
-	drain:
-		for len(batch) < s.cfg.MaxBatch {
-			select {
-			case r, ok := <-s.reqs:
-				if !ok {
-					break drain
-				}
-				batch = append(batch, r)
-			default:
-				break drain
-			}
-		}
-		s.batches.Add(1)
-		s.answerBatch(batch, st)
-	}
-}
-
-// mworkerState is one multi-vault worker's reusable batch-splitting and
-// seed-coalescing buffers.
-type mworkerState struct {
-	full []*mrequest
-	node []*mrequest
-	co   coalescer
-}
-
-// answerBatch serves one drained batch, grouping consecutive same-vault
-// requests under a single workspace checkout. Within a same-vault run,
-// full-graph requests share one Acquire and node queries share one
-// AcquireSubgraph, their seed sets coalesced into as few extractions as
-// the registry's MaxSeeds admits.
-func (s *MultiServer) answerBatch(batch []*mrequest, st *mworkerState) {
-	for i := 0; i < len(batch); {
-		id := batch[i].vault
-		j := i
-		st.full = st.full[:0]
-		st.node = st.node[:0]
-		for ; j < len(batch) && batch[j].vault == id; j++ {
-			if batch[j].nodes != nil {
-				st.node = append(st.node, batch[j])
-			} else {
-				st.full = append(st.full, batch[j])
-			}
-		}
-		i = j
-		if len(st.full) > 0 {
-			v, ws, err := s.reg.Acquire(id)
-			if err != nil {
-				for _, r := range st.full {
-					s.answer(r, nil, err)
-				}
-			} else {
-				for _, r := range st.full {
-					var labels []int
-					var perr error
-					if r.scores != nil {
-						var logits *mat.Matrix
-						logits, labels, _, perr = v.PredictScoresInto(r.x, ws)
-						if perr == nil {
-							for k := range r.scores { // the machine's output view is reused
-								r.scores[k] = s.cfg.defendedRow(logits.Row(k))
-							}
-						}
-					} else {
-						labels, _, perr = v.PredictInto(r.x, ws)
-					}
-					if perr == nil {
-						s.spillBytes.Add(ws.SpillBytes())
-					}
-					s.answer(r, labels, perr)
-				}
-				s.reg.Release(id, ws)
-			}
-		}
-		if len(st.node) > 0 {
-			s.answerNodeRun(id, st)
-		}
-	}
-}
-
-// answerNodeRun serves one same-vault run of node queries under a single
-// subgraph-workspace checkout.
-func (s *MultiServer) answerNodeRun(id string, st *mworkerState) {
-	v, ws, x, err := s.reg.AcquireSubgraph(id)
-	if err != nil {
-		for _, r := range st.node {
-			s.answer(r, nil, err)
-		}
-		return
-	}
-	defer s.reg.ReleaseSubgraph(id, ws)
-	if st.co.maxSeeds != ws.MaxSeeds() {
-		st.co = newCoalescer(ws.MaxSeeds())
-	}
-	// Reject out-of-range seeds per request before packing, so one bad
-	// query cannot fail the valid queries coalesced into its chunk.
-	n := v.Nodes()
-	valid := st.node[:0]
-	for _, r := range st.node {
-		if !nodesInRange(r.nodes, n) {
-			s.answer(r, nil, core.ErrNodeOutOfRange)
-			continue
-		}
-		valid = append(valid, r)
-	}
-	st.node = valid
-	st.co.pack(len(st.node),
-		func(i int) []int { return st.node[i].nodes },
-		func(i int, err error) {
-			s.answer(st.node[i], nil, err)
-		},
-		func(idxs, union []int) {
-			// One score query in the chunk upgrades the whole extraction
-			// to the scores variant; label-only requests still read just
-			// their labels.
-			wantScores := false
-			for _, i := range idxs {
-				if st.node[i].scores != nil {
-					wantScores = true
-					break
-				}
-			}
-			var labels []int
-			var logits *mat.Matrix
-			var err error
-			if wantScores {
-				logits, labels, _, err = v.PredictNodesScoresInto(x, union, ws)
-			} else {
-				labels, _, err = v.PredictNodesInto(x, union, ws)
-			}
-			for _, i := range idxs {
-				r := st.node[i]
-				if err != nil {
-					s.answer(r, nil, err)
-					continue
-				}
-				for k, u := range r.nodes {
-					j := indexOf(union, u)
-					r.out[k] = labels[j]
-					if r.scores != nil {
-						r.scores[k] = s.cfg.defendedRow(logits.Row(j))
-					}
-				}
-				s.observe(nil, r.enq, true)
-				r.done <- struct{}{}
-			}
-		})
-}
-
-// answer completes one request with either labels or an error.
-func (s *MultiServer) answer(r *mrequest, labels []int, err error) {
-	if err != nil {
-		r.err = err
-	} else {
-		copy(r.out, labels) // the workspace's label buffer is reused
-	}
-	s.observe(err, r.enq, r.nodes != nil)
-	r.done <- struct{}{}
+	return s.p.predictNodes(vaultID, nodes)
 }
 
 // Stats returns a snapshot of the serving counters. Scheduler-side
 // counters (plans, evictions, per-vault residency) live in the registry's
 // own Stats.
-func (s *MultiServer) Stats() Stats {
-	return s.snapshot(s.start)
-}
+func (s *MultiServer) Stats() Stats { return s.p.stats() }
 
 // Close stops accepting requests and waits for queued work to finish.
 // Workspace EPC is returned to the registry as each in-flight checkout is
 // released; the registry itself (and the deployed vaults) remain usable.
 // Idempotent.
-func (s *MultiServer) Close() {
-	if s.closed.Swap(true) {
-		s.wg.Wait()
-		return
-	}
-	s.sendMu.Lock()
-	close(s.reqs)
-	s.sendMu.Unlock()
-	s.wg.Wait()
-}
+func (s *MultiServer) Close() { s.p.close() }

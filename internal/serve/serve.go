@@ -2,26 +2,28 @@
 // simulated edge device: a pool of workers answering a stream of label
 // queries over deployed vaults.
 //
-// Two front-ends share the worker machinery. Server is the single-tenant
-// form — one vault, one pre-planned core.Workspace per worker, so the hot
-// path allocates nothing. MultiServer is the multi-tenant form: requests
-// carry a vault ID and the shared worker pool routes them across a
-// registry.Registry, which plans workspaces lazily and evicts
-// least-recently-served vaults when the enclave's EPC cannot hold every
-// tenant (see DESIGN.md, "Multi-vault registry and EPC scheduling").
+// One pool does the serving — the bounded queue, micro-batch drain,
+// same-vault run grouping, node-query seed coalescing, Config.Deadline and
+// the Stats accounting — and three front-ends differ only in the backend
+// behind it, which says where a run's workspace comes from and how one
+// prediction runs:
 //
-// Micro-batching here coalesces queued requests into one worker wake-up:
-// GNN inference is full-graph, so requests cannot be fused into a wider
-// matrix, but draining the queue in batches amortises scheduling and keeps
-// each worker's workspace cache-hot across consecutive requests. The
-// multi-vault worker additionally serves consecutive same-vault requests
-// in a drained batch under one workspace checkout.
+//   - Server (New) serves one vault from one pre-planned core.Workspace
+//     pinned to each worker, so the hot path allocates nothing.
+//   - MultiServer (NewMulti) is multi-tenant: requests carry a vault ID and
+//     each same-vault run checks a workspace out of a registry.Registry,
+//     which plans lazily and evicts least-recently-served vaults when the
+//     enclave's EPC cannot hold every tenant (see DESIGN.md, "Multi-vault
+//     registry and EPC scheduling").
+//   - ShardedServer (NewSharded) fans full-graph queries out across a
+//     core.ShardedVault's shard enclaves and routes node queries to their
+//     owning shard, behind per-shard circuit breakers and recovery.
 package serve
 
 import (
+	"context"
 	"errors"
 	"fmt"
-	"sync"
 	"sync/atomic"
 	"time"
 
@@ -29,15 +31,16 @@ import (
 	"gnnvault/internal/mat"
 	"gnnvault/internal/obs"
 	"gnnvault/internal/registry"
-	"gnnvault/internal/subgraph"
 )
 
 // ErrClosed is returned by Predict after Close.
 var ErrClosed = errors.New("serve: server closed")
 
 // ErrNodeQueriesDisabled is returned by PredictNodes on a server started
-// without Config.NodeQuery.
-var ErrNodeQueriesDisabled = errors.New("serve: node queries not enabled")
+// without Config.NodeQuery, and by a registry-backed server for a vault
+// that never enabled node queries: it is registry.ErrNodeQueriesDisabled,
+// one sentinel for one condition.
+var ErrNodeQueriesDisabled = registry.ErrNodeQueriesDisabled
 
 // Config tunes the worker pool.
 type Config struct {
@@ -45,21 +48,20 @@ type Config struct {
 	// planned workspace (and therefore its own EPC charge). Default 2.
 	Workers int
 	// MaxBatch caps how many queued requests one worker drains per
-	// wake-up. Default 8.
+	// wake-up. The request queue holds Workers·MaxBatch·2 requests;
+	// Predict blocks when it is full (backpressure). Default 8.
 	MaxBatch int
-	// QueueDepth bounds the request queue; Predict blocks when it is
-	// full (backpressure). Default Workers·MaxBatch·2.
-	QueueDepth int
 	// Plan shapes each worker's full-graph workspace (EPC budget / tile
 	// height / kernel worker budget — see core.PlanConfig). The zero value
 	// plans classic untiled workspaces. Because the budget is carried per
 	// plan, two servers with different settings can coexist in one
 	// process without racing on the deprecated mat.SetMaxWorkers global.
 	//
-	// Plan applies to the single-vault Server only, which plans its own
-	// workspaces up front. MultiServer checks workspaces out of a
-	// registry.Registry, so its plan shape is the registry's
-	// Config.Plan; this field is ignored there.
+	// Plan applies where workspaces are planned up front: by New, and by
+	// NewSharded per shard (an EPC budget is each shard enclave's own).
+	// MultiServer checks workspaces out of a registry.Registry, so its
+	// plan shape is the registry's Config.Plan; this field is ignored
+	// there.
 	Plan core.PlanConfig
 	// NodeQuery, when non-nil, additionally plans one subgraph workspace
 	// per worker and opens the PredictNodes path: node-level queries
@@ -85,21 +87,18 @@ type Config struct {
 	// TopK, when > 0, keeps only the K largest entries of each exposed
 	// score row and zeroes the rest (the argmax entry always survives).
 	TopK int
-	// Deadline, when > 0, bounds each request's enqueue→answer time on
-	// the sharded path: a request still queued past its deadline fails
-	// without running, and a fan-out in flight past it is aborted through
-	// the fleet's poisonable barriers (context.DeadlineExceeded, HTTP
-	// 503). Zero serves without a deadline.
+	// Deadline, when > 0, bounds each request's enqueue→answer time: a
+	// request still queued past its deadline fails without running, and a
+	// pass in flight past it is aborted wherever the core call takes a
+	// context — a shard fleet's fan-out through its poisonable barriers, a
+	// label-only node query before its ECALL (context.DeadlineExceeded,
+	// HTTP 503). Zero serves without a deadline.
 	Deadline time.Duration
 	// MaxRetries is how many times a node query routed to a tripped
 	// shard waits out a jittered exponential backoff for the shard to
 	// recover before failing with ErrShardUnavailable. Each wait is
 	// bounded by the request's remaining Deadline. Default 0: fail fast.
 	MaxRetries int
-	// BreakerThreshold is how many consecutive failures on one shard trip
-	// its circuit breaker (an enclave loss trips it immediately
-	// regardless). Default 3.
-	BreakerThreshold int
 	// RecoveryBackoff is the base delay of the breaker's automatic
 	// recovery loop; attempts back off exponentially (with deterministic
 	// jitter) from it. It also paces the node-query retry waits. Default
@@ -120,12 +119,6 @@ func (c Config) withDefaults() Config {
 	}
 	if c.MaxBatch <= 0 {
 		c.MaxBatch = 8
-	}
-	if c.QueueDepth <= 0 {
-		c.QueueDepth = c.Workers * c.MaxBatch * 2
-	}
-	if c.BreakerThreshold <= 0 {
-		c.BreakerThreshold = 3
 	}
 	if c.RecoveryBackoff <= 0 {
 		c.RecoveryBackoff = 5 * time.Millisecond
@@ -178,18 +171,7 @@ type Stats struct {
 	DeadlineExceeded uint64
 }
 
-type request struct {
-	x      *mat.Matrix
-	nodes  []int // non-nil marks a node-level query
-	out    []int
-	scores [][]float64 // non-nil marks a score query; one row per label
-	err    error
-	enq    time.Time
-	done   chan struct{}
-}
-
-// counters aggregates the serving statistics shared by Server and
-// MultiServer. Latency lives in two obs histograms (one per endpoint
+// counters aggregates the pool's serving statistics. Latency lives in two obs histograms (one per endpoint
 // family) instead of separate sum/max atomics: every derived figure —
 // average, max, quantiles, the /metrics exposition — is cut from the
 // same buckets, so the old inconsistency where a racing sum and CAS-max
@@ -208,11 +190,15 @@ type counters struct {
 	deadlineExceeded atomic.Uint64 // requests failed by Config.Deadline
 }
 
-// observe records one answered request: its outcome and its
-// enqueue→answer latency, bucketed by endpoint family.
+// observe records one answered request: its outcome (a missed
+// Config.Deadline counted apart) and its enqueue→answer latency, bucketed
+// by endpoint family.
 func (c *counters) observe(err error, enq time.Time, node bool) {
 	if err != nil {
 		c.errors.Add(1)
+		if errors.Is(err, context.DeadlineExceeded) {
+			c.deadlineExceeded.Add(1)
+		}
 	} else {
 		c.completed.Add(1)
 	}
@@ -259,21 +245,7 @@ func (c *counters) snapshot(start time.Time) Stats {
 }
 
 // Server is a pool of inference workers over one deployed vault.
-type Server struct {
-	vault *core.Vault
-	cfg   Config
-	reqs  chan *request
-	pool  sync.Pool
-
-	// sendMu lets Close wait out in-flight Predict sends before closing
-	// the queue channel.
-	sendMu sync.RWMutex
-	closed atomic.Bool
-	wg     sync.WaitGroup
-	start  time.Time
-
-	counters
-}
+type Server struct{ p *pool }
 
 // New plans one workspace per worker against v — plus one subgraph
 // workspace per worker when cfg.NodeQuery is set — and starts the pool.
@@ -295,13 +267,10 @@ func New(v *core.Vault, cfg Config) (*Server, error) {
 			return nil, fmt.Errorf("serve: registering calibration features: %w", err)
 		}
 	}
-	workspaces := make([]*core.Workspace, 0, cfg.Workers)
-	subWS := make([]*core.SubgraphWorkspace, 0, cfg.Workers)
+	lanes := make([]lane, 0, cfg.Workers)
+	var planned []interface{ Release() }
 	release := func() {
-		for _, w := range workspaces {
-			w.Release()
-		}
-		for _, w := range subWS {
+		for _, w := range planned {
 			w.Release()
 		}
 	}
@@ -311,63 +280,24 @@ func New(v *core.Vault, cfg Config) (*Server, error) {
 			release()
 			return nil, fmt.Errorf("serve: planning workspace for worker %d/%d: %w", i+1, cfg.Workers, err)
 		}
-		workspaces = append(workspaces, ws)
+		planned = append(planned, ws)
+		l := &vaultLane{v: v, x: cfg.Features, ws: ws}
 		if cfg.NodeQuery != nil {
-			sw, err := v.PlanSubgraphWith(cfg.NodeQuery.MaxSeeds, cfg.NodeQuery.Subgraph(), cfg.Plan)
-			if err != nil {
+			if l.sub, err = v.PlanSubgraphWith(cfg.NodeQuery.MaxSeeds, cfg.NodeQuery.Subgraph(), cfg.Plan); err != nil {
 				release()
 				return nil, fmt.Errorf("serve: planning node-query workspace for worker %d/%d: %w", i+1, cfg.Workers, err)
 			}
-			subWS = append(subWS, sw)
+			planned = append(planned, l.sub)
 		}
+		lanes = append(lanes, l)
 	}
-	s := &Server{
-		vault: v,
-		cfg:   cfg,
-		reqs:  make(chan *request, cfg.QueueDepth),
-		start: time.Now(),
-	}
-	s.pool.New = func() any { return &request{done: make(chan struct{}, 1)} }
-	for i, ws := range workspaces {
-		var sw *core.SubgraphWorkspace
-		if cfg.NodeQuery != nil {
-			sw = subWS[i]
-		}
-		s.wg.Add(1)
-		go s.worker(ws, sw)
-	}
-	return s, nil
+	return &Server{newPool(cfg, cfg.NodeQuery != nil, lanes, release)}, nil
 }
 
 // Predict enqueues one inference over x and blocks until a worker answers.
 // The returned slice is freshly allocated and owned by the caller. Safe for
 // concurrent use; blocks for backpressure when the queue is full.
-func (s *Server) Predict(x *mat.Matrix) ([]int, error) {
-	req := s.pool.Get().(*request)
-	req.x = x
-	req.out = make([]int, x.Rows)
-	req.err = nil
-	req.enq = time.Now()
-
-	s.sendMu.RLock()
-	if s.closed.Load() {
-		s.sendMu.RUnlock()
-		s.pool.Put(req)
-		return nil, ErrClosed
-	}
-	s.requests.Add(1)
-	s.reqs <- req
-	s.sendMu.RUnlock()
-
-	<-req.done
-	out, err := req.out, req.err
-	req.x, req.out, req.err = nil, nil, nil
-	s.pool.Put(req)
-	if err != nil {
-		return nil, err
-	}
-	return out, nil
-}
+func (s *Server) Predict(x *mat.Matrix) ([]int, error) { return s.p.predict("", x) }
 
 // PredictScores enqueues one inference over x and blocks until a worker
 // answers with the defended per-class posterior row and label for every
@@ -375,34 +305,7 @@ func (s *Server) Predict(x *mat.Matrix) ([]int, error) {
 // otherwise it fails with ErrScoresDisabled. Returned slices are freshly
 // allocated and owned by the caller.
 func (s *Server) PredictScores(x *mat.Matrix) ([][]float64, []int, error) {
-	if !s.cfg.ExposeScores {
-		return nil, nil, ErrScoresDisabled
-	}
-	req := s.pool.Get().(*request)
-	req.x = x
-	req.out = make([]int, x.Rows)
-	req.scores = make([][]float64, x.Rows)
-	req.err = nil
-	req.enq = time.Now()
-
-	s.sendMu.RLock()
-	if s.closed.Load() {
-		s.sendMu.RUnlock()
-		s.pool.Put(req)
-		return nil, nil, ErrClosed
-	}
-	s.requests.Add(1)
-	s.reqs <- req
-	s.sendMu.RUnlock()
-
-	<-req.done
-	scores, out, err := req.scores, req.out, req.err
-	req.x, req.out, req.scores, req.err = nil, nil, nil, nil
-	s.pool.Put(req)
-	if err != nil {
-		return nil, nil, err
-	}
-	return scores, out, nil
+	return s.p.predictScores("", x)
 }
 
 // PredictNodesScores is PredictNodes for servers exposing scores: one
@@ -411,41 +314,7 @@ func (s *Server) PredictScores(x *mat.Matrix) ([][]float64, []int, error) {
 // Config.ExposeScores is off and ErrNodeQueriesDisabled when node queries
 // are not planned.
 func (s *Server) PredictNodesScores(nodes []int) ([][]float64, []int, error) {
-	if !s.cfg.ExposeScores {
-		return nil, nil, ErrScoresDisabled
-	}
-	if s.cfg.NodeQuery == nil {
-		return nil, nil, ErrNodeQueriesDisabled
-	}
-	if len(nodes) == 0 {
-		return [][]float64{}, []int{}, nil
-	}
-	req := s.pool.Get().(*request)
-	req.x = nil
-	req.nodes = nodes
-	req.out = make([]int, len(nodes))
-	req.scores = make([][]float64, len(nodes))
-	req.err = nil
-	req.enq = time.Now()
-
-	s.sendMu.RLock()
-	if s.closed.Load() {
-		s.sendMu.RUnlock()
-		s.pool.Put(req)
-		return nil, nil, ErrClosed
-	}
-	s.requests.Add(1)
-	s.reqs <- req
-	s.sendMu.RUnlock()
-
-	<-req.done
-	scores, out, err := req.scores, req.out, req.err
-	req.nodes, req.out, req.scores, req.err = nil, nil, nil, nil
-	s.pool.Put(req)
-	if err != nil {
-		return nil, nil, err
-	}
-	return scores, out, nil
+	return s.p.predictNodesScores("", nodes)
 }
 
 // PredictNodes enqueues one node-level query and blocks until a worker
@@ -455,306 +324,78 @@ func (s *Server) PredictNodesScores(nodes []int) ([][]float64, []int, error) {
 // out-of-range nodes with core.ErrNodeOutOfRange. nodes must not be
 // mutated until PredictNodes returns. The returned slice is freshly
 // allocated and owned by the caller.
-func (s *Server) PredictNodes(nodes []int) ([]int, error) {
-	if s.cfg.NodeQuery == nil {
-		return nil, ErrNodeQueriesDisabled
-	}
-	if len(nodes) == 0 {
-		return []int{}, nil
-	}
-	req := s.pool.Get().(*request)
-	req.x = nil
-	req.nodes = nodes
-	req.out = make([]int, len(nodes))
-	req.err = nil
-	req.enq = time.Now()
-
-	s.sendMu.RLock()
-	if s.closed.Load() {
-		s.sendMu.RUnlock()
-		s.pool.Put(req)
-		return nil, ErrClosed
-	}
-	s.requests.Add(1)
-	s.reqs <- req
-	s.sendMu.RUnlock()
-
-	<-req.done
-	out, err := req.out, req.err
-	req.nodes, req.out, req.err = nil, nil, nil
-	s.pool.Put(req)
-	if err != nil {
-		return nil, err
-	}
-	return out, nil
-}
-
-// worker drains the queue in micro-batches, answering every request with
-// its own pre-planned workspace. Node queries in a drained batch are set
-// aside and served together through the worker's subgraph workspace, so a
-// burst of single-node queries pays for one extraction, not one each.
-func (s *Server) worker(ws *core.Workspace, sub *core.SubgraphWorkspace) {
-	defer s.wg.Done()
-	defer ws.Release()
-	if sub != nil {
-		defer sub.Release()
-	}
-	batch := make([]*request, 0, s.cfg.MaxBatch)
-	nodeReqs := make([]*request, 0, s.cfg.MaxBatch)
-	var co coalescer
-	if sub != nil {
-		co = newCoalescer(sub.MaxSeeds())
-	}
-	for {
-		req, ok := <-s.reqs
-		if !ok {
-			return
-		}
-		batch = append(batch[:0], req)
-		// Coalesce whatever else is already queued, up to MaxBatch.
-	drain:
-		for len(batch) < s.cfg.MaxBatch {
-			select {
-			case r, ok := <-s.reqs:
-				if !ok {
-					break drain
-				}
-				batch = append(batch, r)
-			default:
-				break drain
-			}
-		}
-		s.batches.Add(1)
-		nodeReqs = nodeReqs[:0]
-		for _, r := range batch {
-			if r.nodes != nil {
-				nodeReqs = append(nodeReqs, r)
-				continue
-			}
-			s.answer(r, ws)
-		}
-		if len(nodeReqs) > 0 {
-			if sub == nil {
-				// Unreachable through PredictNodes' guard; defence in depth.
-				for _, r := range nodeReqs {
-					r.err = ErrNodeQueriesDisabled
-					s.observe(r.err, r.enq, true)
-					r.done <- struct{}{}
-				}
-			} else {
-				s.answerNodeBatch(nodeReqs, sub, &co)
-			}
-		}
-	}
-}
-
-func (s *Server) answer(r *request, ws *core.Workspace) {
-	var labels []int
-	var err error
-	if r.scores != nil {
-		var logits *mat.Matrix
-		logits, labels, _, err = s.vault.PredictScoresInto(r.x, ws)
-		if err == nil {
-			for i := range r.scores { // the machine's output view is reused
-				r.scores[i] = s.cfg.defendedRow(logits.Row(i))
-			}
-		}
-	} else {
-		labels, _, err = s.vault.PredictInto(r.x, ws)
-	}
-	if err != nil {
-		r.err = err
-	} else {
-		copy(r.out, labels) // the workspace's label buffer is reused
-		s.spillBytes.Add(ws.SpillBytes())
-	}
-	s.observe(err, r.enq, false)
-	r.done <- struct{}{}
-}
-
-// answerNodeBatch serves one wake-up's node queries: the coalescer packs
-// their seed sets into as few shared extractions as MaxSeeds admits, each
-// chunk runs one PredictNodesInto, and every request reads its labels off
-// the chunk's union. Requests with out-of-range seeds are rejected
-// individually first, so one bad query can never fail the valid queries
-// coalesced into its chunk.
-func (s *Server) answerNodeBatch(reqs []*request, sub *core.SubgraphWorkspace, co *coalescer) {
-	n := s.vault.Nodes()
-	valid := reqs[:0]
-	for _, r := range reqs {
-		if !nodesInRange(r.nodes, n) {
-			r.err = core.ErrNodeOutOfRange
-			s.observe(r.err, r.enq, true)
-			r.done <- struct{}{}
-			continue
-		}
-		valid = append(valid, r)
-	}
-	reqs = valid
-	co.pack(len(reqs),
-		func(i int) []int { return reqs[i].nodes },
-		func(i int, err error) {
-			reqs[i].err = err
-			s.observe(err, reqs[i].enq, true)
-			reqs[i].done <- struct{}{}
-		},
-		func(idxs, union []int) {
-			// One score query in the chunk upgrades the whole extraction
-			// to the scores variant; label-only requests still read just
-			// their labels.
-			wantScores := false
-			for _, i := range idxs {
-				if reqs[i].scores != nil {
-					wantScores = true
-					break
-				}
-			}
-			var labels []int
-			var logits *mat.Matrix
-			var err error
-			if wantScores {
-				logits, labels, _, err = s.vault.PredictNodesScoresInto(s.cfg.Features, union, sub)
-			} else {
-				labels, _, err = s.vault.PredictNodesInto(s.cfg.Features, union, sub)
-			}
-			for _, i := range idxs {
-				r := reqs[i]
-				if err != nil {
-					r.err = err
-				} else {
-					for k, u := range r.nodes {
-						j := indexOf(union, u)
-						r.out[k] = labels[j]
-						if r.scores != nil {
-							r.scores[k] = s.cfg.defendedRow(logits.Row(j))
-						}
-					}
-				}
-				s.observe(err, r.enq, true)
-				r.done <- struct{}{}
-			}
-		})
-}
-
-// nodesInRange reports whether every seed falls inside [0, n).
-func nodesInRange(nodes []int, n int) bool {
-	for _, u := range nodes {
-		if u < 0 || u >= n {
-			return false
-		}
-	}
-	return true
-}
-
-// indexOf returns the position of u in union (which holds at most
-// MaxSeeds entries — a linear scan beats any map at that size).
-func indexOf(union []int, u int) int {
-	for i, v := range union {
-		if v == u {
-			return i
-		}
-	}
-	return -1 // unreachable: every request node was packed into its union
-}
-
-// coalescer packs a run of node queries' seed sets into shared extraction
-// unions of at most maxSeeds distinct seeds. Buffers are reused across
-// batches, so steady-state packing never allocates beyond the callbacks.
-type coalescer struct {
-	maxSeeds int
-	union    []int
-	idxs     []int
-}
-
-// newCoalescer sizes a coalescer for unions of maxSeeds seeds.
-func newCoalescer(maxSeeds int) coalescer {
-	return coalescer{
-		maxSeeds: maxSeeds,
-		union:    make([]int, 0, maxSeeds),
-		idxs:     make([]int, 0, 16),
-	}
-}
-
-// pack walks requests 0..n-1 in order (their seed sets read through
-// seeds), growing the current union until the next request's unseen seeds
-// would overflow it, then flushes the accumulated request indices and
-// union through serve. Requests whose own distinct seed set cannot fit
-// any union fail through reject with subgraph.ErrTooManySeeds; empty
-// requests complete through reject with a nil error.
-func (c *coalescer) pack(n int, seeds func(int) []int, reject func(int, error), serve func(idxs, union []int)) {
-	c.union = c.union[:0]
-	c.idxs = c.idxs[:0]
-	flush := func() {
-		if len(c.idxs) > 0 {
-			serve(c.idxs, c.union)
-			c.union = c.union[:0]
-			c.idxs = c.idxs[:0]
-		}
-	}
-	for i := 0; i < n; i++ {
-		nodes := seeds(i)
-		if len(nodes) == 0 {
-			reject(i, nil) // zero labels requested: answered without work
-			continue
-		}
-		if distinctCount(nodes) > c.maxSeeds {
-			reject(i, subgraph.ErrTooManySeeds)
-			continue
-		}
-		if len(c.union)+c.countFresh(nodes) > c.maxSeeds {
-			flush()
-		}
-		for _, u := range nodes {
-			if indexOf(c.union, u) < 0 {
-				c.union = append(c.union, u)
-			}
-		}
-		c.idxs = append(c.idxs, i)
-	}
-	flush()
-}
-
-// countFresh returns how many distinct seeds of nodes are not yet in the
-// union — the union growth admitting this request would cost.
-func (c *coalescer) countFresh(nodes []int) int {
-	fresh := 0
-	for i, u := range nodes {
-		if indexOf(c.union, u) >= 0 || indexOf(nodes[:i], u) >= 0 {
-			continue
-		}
-		fresh++
-	}
-	return fresh
-}
-
-// distinctCount returns the number of distinct seeds in nodes.
-func distinctCount(nodes []int) int {
-	n := 0
-	for i, u := range nodes {
-		if indexOf(nodes[:i], u) < 0 {
-			n++
-		}
-	}
-	return n
-}
+func (s *Server) PredictNodes(nodes []int) ([]int, error) { return s.p.predictNodes("", nodes) }
 
 // Stats returns a snapshot of the serving counters.
-func (s *Server) Stats() Stats {
-	return s.snapshot(s.start)
-}
+func (s *Server) Stats() Stats { return s.p.stats() }
 
 // Close stops accepting requests, waits for queued work to finish, and
 // releases every worker workspace (returning their EPC to the enclave).
 // Idempotent.
-func (s *Server) Close() {
-	if s.closed.Swap(true) {
-		s.wg.Wait()
-		return
-	}
-	// Wait out in-flight Predict sends, then close the queue so workers
-	// drain and exit.
-	s.sendMu.Lock()
-	close(s.reqs)
-	s.sendMu.Unlock()
-	s.wg.Wait()
+func (s *Server) Close() { s.p.close() }
+
+// vaultLane runs one worker's predictions on a core.Vault's workspaces:
+// pinned to the worker for its lifetime (New), or — when reg is set —
+// checked out of the registry once per same-vault run per kind
+// (NewMulti).
+type vaultLane struct {
+	reg *registry.Registry
+	v   *core.Vault
+	x   *mat.Matrix // public features node queries gather from
+	ws  *core.Workspace
+	sub *core.SubgraphWorkspace
 }
+
+func (l *vaultLane) open(key string, node bool) (runShape, error) {
+	if l.reg != nil {
+		var err error
+		if node {
+			l.v, l.sub, l.x, err = l.reg.AcquireSubgraph(key)
+		} else {
+			l.v, l.ws, err = l.reg.Acquire(key)
+		}
+		if err != nil {
+			return runShape{}, err
+		}
+	}
+	if !node {
+		return runShape{}, nil
+	}
+	return runShape{nodes: l.v.Nodes(), maxSeeds: l.sub.MaxSeeds(), routes: 1}, nil
+}
+
+func (l *vaultLane) close(key string, node bool) {
+	if l.reg == nil {
+		return // pinned: the workspaces stay with the worker
+	}
+	if node {
+		l.reg.ReleaseSubgraph(key, l.sub)
+	} else {
+		l.reg.Release(key, l.ws)
+	}
+}
+
+func (l *vaultLane) predict(_ context.Context, x *mat.Matrix, scores bool) ([]int, *mat.Matrix, int64, error) {
+	var labels []int
+	var logits *mat.Matrix
+	var err error
+	if scores {
+		logits, labels, _, err = l.v.PredictScoresInto(x, l.ws)
+	} else {
+		labels, _, err = l.v.PredictInto(x, l.ws)
+	}
+	return labels, logits, l.ws.SpillBytes(), err
+}
+
+func (l *vaultLane) route([]int, time.Time) (int, error) { return 0, nil }
+
+func (l *vaultLane) predictNodes(ctx context.Context, union []int, _ int, scores bool) ([]int, *mat.Matrix, error) {
+	if scores {
+		logits, labels, _, err := l.v.PredictNodesScoresInto(l.x, union, l.sub)
+		return labels, logits, err
+	}
+	labels, _, err := l.v.PredictNodesIntoContext(ctx, l.x, union, l.sub)
+	return labels, nil, err
+}
+
+func (l *vaultLane) degraded() bool { return false }

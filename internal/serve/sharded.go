@@ -26,7 +26,7 @@ import (
 var ErrShardUnavailable = errors.New("serve: shard unavailable")
 
 // Circuit-breaker states, per shard. The life cycle is closed → open
-// (BreakerThreshold consecutive failures, or one enclave loss) →
+// (breakerThreshold consecutive failures, or one enclave loss) →
 // half-open (the recovery loop re-sealed and re-proved the shard, and it
 // serves again on probation) → closed (first successful query).
 const (
@@ -35,7 +35,11 @@ const (
 	breakerHalfOpen int32 = 2
 )
 
-// ShardedServer is the worker pool over a core.ShardedVault: the vault's
+// breakerThreshold is how many consecutive failures on one shard trip its
+// circuit breaker; an enclave loss trips it immediately regardless.
+const breakerThreshold = 3
+
+// ShardedServer is the serving pool over a core.ShardedVault: the vault's
 // private CSR split across a fleet of shard enclaves. Each worker owns one
 // sharded full-graph workspace (the backbone plus one rectifier machine
 // per shard, coupled through halo-exchange barriers) and, when node
@@ -49,7 +53,7 @@ const (
 // halo bytes by the core layer and accumulated here per shard.
 //
 // Failure domain: each shard has a circuit breaker. An enclave loss (or
-// BreakerThreshold consecutive failures) trips it: the shard goes
+// three consecutive failures) trips it: the shard goes
 // offline, in-flight full-graph passes are aborted through the fleet's
 // poisonable barriers, and a per-shard recovery loop re-seals the shard
 // (core.ShardedVault.RecoverShard) under jittered exponential backoff
@@ -60,20 +64,9 @@ const (
 // the fleet, so NewSharded refuses Config.ExposeScores and the score
 // endpoints fail with ErrScoresDisabled.
 type ShardedServer struct {
-	sv   *core.ShardedVault
-	cfg  Config
-	reqs chan *request
-	pool sync.Pool
-
-	// sendMu lets Close wait out in-flight Predict sends before closing
-	// the queue channel (same protocol as Server).
-	sendMu    sync.RWMutex
-	closed    atomic.Bool
-	closeOnce sync.Once
-	wg        sync.WaitGroup
-	start     time.Time
-
-	counters
+	p   *pool
+	sv  *core.ShardedVault
+	cfg Config
 
 	// Per-shard serving state: availability flags flipped by
 	// SetShardAvailable and the breakers, accumulated halo traffic, and
@@ -89,7 +82,7 @@ type ShardedServer struct {
 	workspaces   []*core.ShardedWorkspace
 	subs         [][]atomic.Pointer[core.SubgraphWorkspace] // [worker][shard]; nil without NodeQuery
 	breaker      []atomic.Int32                             // breakerClosed / breakerOpen / breakerHalfOpen
-	fails        []atomic.Int32                             // consecutive failures toward BreakerThreshold
+	fails        []atomic.Int32                             // consecutive failures toward breakerThreshold
 	restarts     []atomic.Uint64                            // successful recoveries per shard
 	nodeInflight []atomic.Int64                             // node queries executing per shard (workspace-swap fence)
 	trippedAt    []atomic.Int64                             // wall ns of the breaker trip, for the recovery span
@@ -156,8 +149,6 @@ func NewSharded(sv *core.ShardedVault, cfg Config) (*ShardedServer, error) {
 	s := &ShardedServer{
 		sv:           sv,
 		cfg:          cfg,
-		reqs:         make(chan *request, cfg.QueueDepth),
-		start:        time.Now(),
 		avail:        make([]atomic.Bool, sv.Shards()),
 		shardHalo:    make([]atomic.Int64, sv.Shards()),
 		workspaces:   workspaces,
@@ -180,11 +171,11 @@ func NewSharded(sv *core.ShardedVault, cfg Config) (*ShardedServer, error) {
 	for i := range s.avail {
 		s.avail[i].Store(true)
 	}
-	s.pool.New = func() any { return &request{done: make(chan struct{}, 1)} }
-	for i := 0; i < cfg.Workers; i++ {
-		s.wg.Add(1)
-		go s.worker(i)
+	lanes := make([]lane, cfg.Workers)
+	for w := range lanes {
+		lanes[w] = &shardLane{s: s, w: w}
 	}
+	s.p = newPool(cfg, cfg.NodeQuery != nil, lanes, s.teardown)
 	return s, nil
 }
 
@@ -231,32 +222,7 @@ func (s *ShardedServer) offlineShard() int {
 // freshly allocated and owned by the caller; labels are bit-identical to
 // a single-enclave server's. Safe for concurrent use; blocks for
 // backpressure when the queue is full.
-func (s *ShardedServer) Predict(x *mat.Matrix) ([]int, error) {
-	req := s.pool.Get().(*request)
-	req.x = x
-	req.out = make([]int, x.Rows)
-	req.err = nil
-	req.enq = time.Now()
-
-	s.sendMu.RLock()
-	if s.closed.Load() {
-		s.sendMu.RUnlock()
-		s.pool.Put(req)
-		return nil, ErrClosed
-	}
-	s.requests.Add(1)
-	s.reqs <- req
-	s.sendMu.RUnlock()
-
-	<-req.done
-	out, err := req.out, req.err
-	req.x, req.out, req.err = nil, nil, nil
-	s.pool.Put(req)
-	if err != nil {
-		return nil, err
-	}
-	return out, nil
-}
+func (s *ShardedServer) Predict(x *mat.Matrix) ([]int, error) { return s.p.predict("", x) }
 
 // PredictScores always fails with ErrScoresDisabled: the sharded path is
 // label-only (scores are not wired through the fleet).
@@ -276,164 +242,87 @@ func (s *ShardedServer) PredictNodesScores(nodes []int) ([][]float64, []int, err
 // ErrShardUnavailable after up to Config.MaxRetries jittered backoff
 // waits for the shard to recover. Other semantics match
 // Server.PredictNodes.
-func (s *ShardedServer) PredictNodes(nodes []int) ([]int, error) {
-	if s.cfg.NodeQuery == nil {
-		return nil, ErrNodeQueriesDisabled
-	}
-	if len(nodes) == 0 {
-		return []int{}, nil
-	}
-	req := s.pool.Get().(*request)
-	req.x = nil
-	req.nodes = nodes
-	req.out = make([]int, len(nodes))
-	req.err = nil
-	req.enq = time.Now()
+func (s *ShardedServer) PredictNodes(nodes []int) ([]int, error) { return s.p.predictNodes("", nodes) }
 
-	s.sendMu.RLock()
-	if s.closed.Load() {
-		s.sendMu.RUnlock()
-		s.pool.Put(req)
-		return nil, ErrClosed
-	}
-	s.requests.Add(1)
-	s.reqs <- req
-	s.sendMu.RUnlock()
-
-	<-req.done
-	out, err := req.out, req.err
-	req.nodes, req.out, req.err = nil, nil, nil
-	s.pool.Put(req)
-	if err != nil {
-		return nil, err
-	}
-	return out, nil
+// shardLane is one worker's handle on the fleet: its own sharded
+// full-graph workspace and, per shard, its node-query workspace. Nothing
+// is checked out per run — workspaces stay with the worker (and the
+// recovery loop) for the server's lifetime. Label-only: NewSharded
+// refuses Config.ExposeScores, so scores is never set.
+type shardLane struct {
+	s *ShardedServer
+	w int
 }
 
-// shardWorkerState is one worker's reusable node-query routing buffers:
-// requests bucketed by owning shard, and one seed coalescer per shard so
-// unions never mix shards.
-type shardWorkerState struct {
-	byShard [][]*request
-	cos     []coalescer
+func (l *shardLane) open(_ string, node bool) (runShape, error) {
+	if !node {
+		return runShape{}, nil
+	}
+	s := l.s
+	return runShape{nodes: s.sv.Nodes(), maxSeeds: s.cfg.NodeQuery.MaxSeeds, routes: s.sv.Shards()}, nil
 }
 
-// worker drains the queue in micro-batches. Full-graph requests each fan
-// out across the fleet through the worker's sharded workspace; node
-// queries in a drained batch are routed to their owning shards and
-// coalesced per shard, so a burst of same-shard queries pays for one
-// extraction. Workspaces are released by Close, not here: the recovery
-// loop may still be rejoining a re-sealed shard into them after the
-// queue drains.
-func (s *ShardedServer) worker(w int) {
-	defer s.wg.Done()
-	ws := s.workspaces[w]
-	batch := make([]*request, 0, s.cfg.MaxBatch)
-	nodeReqs := make([]*request, 0, s.cfg.MaxBatch)
-	var st shardWorkerState
-	if s.subs != nil {
-		st.byShard = make([][]*request, s.sv.Shards())
-		st.cos = make([]coalescer, s.sv.Shards())
-		for i := range st.cos {
-			st.cos[i] = newCoalescer(s.cfg.NodeQuery.MaxSeeds)
-		}
-	}
-	for {
-		req, ok := <-s.reqs
-		if !ok {
-			return
-		}
-		batch = append(batch[:0], req)
-	drain:
-		for len(batch) < s.cfg.MaxBatch {
-			select {
-			case r, ok := <-s.reqs:
-				if !ok {
-					break drain
-				}
-				batch = append(batch, r)
-			default:
-				break drain
-			}
-		}
-		s.batches.Add(1)
-		nodeReqs = nodeReqs[:0]
-		for _, r := range batch {
-			if r.nodes != nil {
-				nodeReqs = append(nodeReqs, r)
-				continue
-			}
-			s.answer(r, ws)
-		}
-		if len(nodeReqs) > 0 {
-			if s.subs == nil {
-				// Unreachable through PredictNodes' guard; defence in depth.
-				for _, r := range nodeReqs {
-					r.err = ErrNodeQueriesDisabled
-					s.observe(r.err, r.enq, true)
-					r.done <- struct{}{}
-				}
-			} else {
-				s.answerNodeBatch(nodeReqs, w, &st)
-			}
-		}
-	}
-}
+func (l *shardLane) close(string, bool) {}
 
-// requestContext derives the execution context for a request enqueued at
-// enq under Config.Deadline: a deadline-bounded context carrying the
-// remaining budget, or an error when the request already overstayed it
-// in the queue. Without a configured deadline the background context
-// comes back with a no-op cancel.
-func (s *ShardedServer) requestContext(enq time.Time) (context.Context, context.CancelFunc, error) {
-	if s.cfg.Deadline <= 0 {
-		return context.Background(), func() {}, nil
-	}
-	remaining := s.cfg.Deadline - time.Since(enq)
-	if remaining <= 0 {
-		return nil, nil, fmt.Errorf("serve: request exceeded its %v deadline in queue: %w", s.cfg.Deadline, context.DeadlineExceeded)
-	}
-	ctx, cancel := context.WithTimeout(context.Background(), remaining)
-	return ctx, cancel, nil
-}
-
-// answer serves one full-graph request: admission first (the whole fleet
-// must be up — a degraded fleet fails fast so clients retry after
-// recovery), then one deadline-bounded fan-out through the sharded
-// workspace, timed into the fan-out histogram, its halo traffic
-// accumulated per shard and its outcome fed to the breakers.
-func (s *ShardedServer) answer(r *request, ws *core.ShardedWorkspace) {
-	var labels []int
-	var err error
+// predict serves one full-graph request: admission first (the whole
+// fleet must be up — a degraded fleet fails fast so clients retry after
+// recovery), then one fan-out through the worker's sharded workspace,
+// timed into the fan-out histogram, its halo traffic accumulated per
+// shard and its outcome fed to the breakers.
+func (l *shardLane) predict(ctx context.Context, x *mat.Matrix, _ bool) ([]int, *mat.Matrix, int64, error) {
+	s := l.s
 	if off := s.offlineShard(); off >= 0 {
-		err = fmt.Errorf("%w: shard %d is offline and full-graph inference needs the whole fleet", ErrShardUnavailable, off)
-	} else {
-		var ctx context.Context
-		var cancel context.CancelFunc
-		ctx, cancel, err = s.requestContext(r.enq)
-		if err == nil {
-			fan := time.Now()
-			labels, _, err = s.sv.PredictIntoContext(ctx, r.x, ws)
-			s.fanout.Observe(time.Since(fan).Nanoseconds())
-			cancel()
-			s.noteFullGraph(err)
-		}
+		return nil, nil, 0, fmt.Errorf("%w: shard %d is offline and full-graph inference needs the whole fleet", ErrShardUnavailable, off)
 	}
+	ws := s.workspaces[l.w]
+	fan := time.Now()
+	labels, _, err := s.sv.PredictIntoContext(ctx, x, ws)
+	s.fanout.Observe(time.Since(fan).Nanoseconds())
+	s.noteFullGraph(err)
 	if err != nil {
-		r.err = err
-		if errors.Is(err, context.DeadlineExceeded) {
-			s.deadlineExceeded.Add(1)
-		}
-	} else {
-		copy(r.out, labels) // the workspace's label buffer is reused
-		s.spillBytes.Add(ws.SpillBytes())
-		for sh := range s.shardHalo {
-			s.shardHalo[sh].Add(ws.ShardHaloBytes(sh))
-		}
+		return nil, nil, 0, err
 	}
-	s.observe(err, r.enq, false)
-	r.done <- struct{}{}
+	for sh := range s.shardHalo {
+		s.shardHalo[sh].Add(ws.ShardHaloBytes(sh))
+	}
+	return labels, nil, ws.SpillBytes(), nil
 }
+
+// route sends a node query to the shard owning its first seed, waiting
+// out a tripped owner under the retry policy.
+func (l *shardLane) route(nodes []int, enq time.Time) (int, error) {
+	s := l.s
+	sh, err := s.sv.RouteSeeds(nodes)
+	if err != nil {
+		return 0, err
+	}
+	if !s.awaitShard(sh, enq) {
+		return 0, fmt.Errorf("%w: shard %d owning node %d is offline", ErrShardUnavailable, sh, nodes[0])
+	}
+	return sh, nil
+}
+
+// predictNodes answers one coalesced extraction on shard sh's subgraph
+// workspace, accumulating the cross-shard rows it touched as that
+// shard's halo traffic and feeding the outcome to its breaker.
+func (l *shardLane) predictNodes(ctx context.Context, union []int, sh int, _ bool) ([]int, *mat.Matrix, error) {
+	s := l.s
+	s.nodeInflight[sh].Add(1)
+	sw := s.subs[l.w][sh].Load()
+	labels, halo, _, err := s.sv.PredictNodesAtContext(ctx, s.cfg.Features, union, sh, sw)
+	s.nodeInflight[sh].Add(-1)
+	if err != nil {
+		s.noteShardError(sh, err)
+		return nil, nil, err
+	}
+	s.noteShardSuccess(sh)
+	s.shardHalo[sh].Add(halo)
+	return labels, nil, nil
+}
+
+// degraded reports a shard outage: node queries answered through one
+// count as degraded serving.
+func (l *shardLane) degraded() bool { return l.s.offlineShard() >= 0 }
 
 // noteFullGraph feeds one fan-out's outcome to the breakers: a success
 // proved every shard (closing any half-open breaker), a failure blamed
@@ -455,7 +344,7 @@ func (s *ShardedServer) noteFullGraph(err error) {
 
 // noteShardError counts one shard-attributed failure. Enclave loss is
 // unambiguous and trips the breaker immediately; other faults trip it
-// after BreakerThreshold consecutive failures. Outage echoes
+// after breakerThreshold consecutive failures. Outage echoes
 // (ErrShardUnavailable) and deadline/cancellation errors never count —
 // tripping a healthy shard because a client's deadline was tight would
 // turn load into an outage.
@@ -468,7 +357,7 @@ func (s *ShardedServer) noteShardError(sh int, err error) {
 	case errors.Is(err, enclave.ErrEnclaveLost):
 		s.tripShard(sh, err)
 	default:
-		if int(s.fails[sh].Add(1)) >= s.cfg.BreakerThreshold {
+		if int(s.fails[sh].Add(1)) >= breakerThreshold {
 			s.tripShard(sh, err)
 		}
 	}
@@ -627,97 +516,6 @@ func (s *ShardedServer) recordEvent(kind obs.SpanKind, sh int, dur int64) {
 	ring.Record(obs.Span{Kind: kind, Rows: int32(sh), Start: ring.Clock(), Dur: dur})
 }
 
-// answerNodeBatch serves one wake-up's node queries: per-request
-// validation and routing first — out-of-range seeds fail individually
-// and tripped owners are waited out under the retry policy, so one bad
-// query never poisons its batch — then each shard's run is coalesced
-// into shared extractions and answered on that shard's subgraph
-// workspace, deadline-bounded, with the cross-shard rows the extraction
-// touched accumulated as that shard's halo traffic. Queries answered
-// while another shard is down count as degraded serving.
-func (s *ShardedServer) answerNodeBatch(reqs []*request, w int, st *shardWorkerState) {
-	n := s.sv.Nodes()
-	for i := range st.byShard {
-		st.byShard[i] = st.byShard[i][:0]
-	}
-	for _, r := range reqs {
-		if !nodesInRange(r.nodes, n) {
-			s.reject(r, core.ErrNodeOutOfRange)
-			continue
-		}
-		sh, err := s.sv.RouteSeeds(r.nodes)
-		if err != nil {
-			s.reject(r, err)
-			continue
-		}
-		if !s.awaitShard(sh, r.enq) {
-			s.reject(r, fmt.Errorf("%w: shard %d owning node %d is offline", ErrShardUnavailable, sh, r.nodes[0]))
-			continue
-		}
-		st.byShard[sh] = append(st.byShard[sh], r)
-	}
-	for sh := range st.byShard {
-		run := st.byShard[sh]
-		if len(run) == 0 {
-			continue
-		}
-		st.cos[sh].pack(len(run),
-			func(i int) []int { return run[i].nodes },
-			func(i int, err error) {
-				run[i].err = err
-				s.observe(err, run[i].enq, true)
-				run[i].done <- struct{}{}
-			},
-			func(idxs, union []int) {
-				// The chunk shares one extraction; its deadline budget is
-				// the oldest member's (requests are packed in arrival
-				// order, so that is the first index).
-				ctx, cancel, err := s.requestContext(run[idxs[0]].enq)
-				var labels []int
-				if err == nil {
-					s.nodeInflight[sh].Add(1)
-					sw := s.subs[w][sh].Load()
-					var halo int64
-					labels, halo, _, err = s.sv.PredictNodesAtContext(ctx, s.cfg.Features, union, sh, sw)
-					s.nodeInflight[sh].Add(-1)
-					cancel()
-					if err != nil {
-						s.noteShardError(sh, err)
-					} else {
-						s.noteShardSuccess(sh)
-						s.shardHalo[sh].Add(halo)
-					}
-				}
-				degraded := err == nil && s.offlineShard() >= 0
-				for _, i := range idxs {
-					r := run[i]
-					if err != nil {
-						r.err = err
-						if errors.Is(err, context.DeadlineExceeded) {
-							s.deadlineExceeded.Add(1)
-						}
-					} else {
-						for k, u := range r.nodes {
-							r.out[k] = labels[indexOf(union, u)]
-						}
-						if degraded {
-							s.degraded.Add(1)
-						}
-					}
-					s.observe(err, r.enq, true)
-					r.done <- struct{}{}
-				}
-			})
-	}
-}
-
-// reject completes one node request with an error.
-func (s *ShardedServer) reject(r *request, err error) {
-	r.err = err
-	s.observe(err, r.enq, true)
-	r.done <- struct{}{}
-}
-
 // ShardStats is a per-shard snapshot of the fleet's serving state: the
 // availability flags, breaker states and restart counts, accumulated
 // halo traffic, each shard enclave's EPC occupancy, the full-graph
@@ -780,34 +578,28 @@ func (s *ShardedServer) ShardStats() ShardStats {
 }
 
 // Stats returns a snapshot of the serving counters.
-func (s *ShardedServer) Stats() Stats {
-	return s.snapshot(s.start)
-}
+func (s *ShardedServer) Stats() Stats { return s.p.stats() }
 
 // Close stops accepting requests, waits for queued work to finish, stops
 // the recovery loops, and releases every worker workspace across every
-// shard enclave (workspaces are released here, not by the workers,
-// because a recovery loop may hold them past queue drain). The fleet
-// itself stays deployed. Idempotent; concurrent callers block until
-// teardown completes.
-func (s *ShardedServer) Close() {
-	s.closeOnce.Do(func() {
-		s.closed.Store(true)
-		s.sendMu.Lock()
-		close(s.reqs)
-		s.sendMu.Unlock()
-		s.wg.Wait()
-		close(s.stop)
-		s.healthWG.Wait()
-		for _, ws := range s.workspaces {
-			ws.Release()
-		}
-		for w := range s.subs {
-			for sh := range s.subs[w] {
-				if sw := s.subs[w][sh].Load(); sw != nil {
-					sw.Release()
-				}
+// shard enclave. The fleet itself stays deployed. Idempotent; concurrent
+// callers block until teardown completes.
+func (s *ShardedServer) Close() { s.p.close() }
+
+// teardown runs once the pool's workers have exited. Workspaces are
+// released here, not by the workers, because a recovery loop may hold
+// them past queue drain.
+func (s *ShardedServer) teardown() {
+	close(s.stop)
+	s.healthWG.Wait()
+	for _, ws := range s.workspaces {
+		ws.Release()
+	}
+	for w := range s.subs {
+		for sh := range s.subs[w] {
+			if sw := s.subs[w][sh].Load(); sw != nil {
+				sw.Release()
 			}
 		}
-	})
+	}
 }
