@@ -46,9 +46,11 @@ bench-json:
 	$(GO) run ./cmd/experiments -run ext-obs -epochs 3 -bench-out BENCH_obs.json -obs-check
 	$(GO) run ./cmd/experiments -run ext-shard -epochs 3 -sizes $(SIZES) -bench-out BENCH_shard.json
 
-# Short fuzz passes over the engine and attack-surface invariants:
-# induced-subgraph extraction, tiled-vs-direct execution equivalence,
-# reduced-precision (fp32/int8) accuracy + within-tier bit-identity,
+# Short fuzz passes over the kernel, engine and attack-surface invariants:
+# the axpy kernel bodies (AVX2 and pure Go) against the two-rounding
+# reference, induced-subgraph extraction, tiled-vs-direct execution
+# equivalence, reduced-precision (fp32/int8) accuracy + within-tier
+# bit-identity,
 # sharded-vs-single-enclave bit-identity across fuzzed shapes × shard
 # counts × precisions, and the attack math (AUC/Fidelity in [0,1], no
 # panics) under degenerate observation surfaces.
@@ -62,6 +64,7 @@ chaos-smoke:
 
 FUZZTIME ?= 10s
 fuzz-smoke:
+	$(GO) test -run '^$$' -fuzz FuzzAxpyKernels -fuzztime $(FUZZTIME) ./internal/mat/
 	$(GO) test -run '^$$' -fuzz FuzzInducedSubgraph -fuzztime $(FUZZTIME) ./internal/subgraph/
 	$(GO) test -run '^$$' -fuzz FuzzTiledExec -fuzztime $(FUZZTIME) ./internal/exec/
 	$(GO) test -run '^$$' -fuzz FuzzPrecision -fuzztime $(FUZZTIME) ./internal/exec/

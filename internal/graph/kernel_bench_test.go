@@ -62,3 +62,69 @@ func BenchmarkKernelMatMul(b *testing.B) {
 		mat.MatMulWorkersInto(out, a, w, 1)
 	}
 }
+
+// BenchmarkKernelSpMMPrecision prices the fused sparse product per
+// precision at the served shapes: a Table I-sized graph (1200 nodes,
+// mean degree ≈ 4) at hidden width 128, and the 20k-node power-law
+// serving vault at width 32. H is post-ReLU (about half exact zeros),
+// every kernel runs serially with the bias+ReLU epilogue, and GMAC/s
+// counts nnz × width multiply-accumulates per second. Run with:
+//
+//	go test -run '^$' -bench KernelSpMMPrecision -cpu 1 ./internal/graph/
+func BenchmarkKernelSpMMPrecision(b *testing.B) {
+	shapes := []struct {
+		name          string
+		n, perNode, d int
+	}{
+		{"1200x128", 1200, 2, 128},
+		{"20000x32", 20000, 8, 32},
+	}
+	for _, s := range shapes {
+		adj := Normalize(PreferentialAttachment(PreferentialAttachmentConfig{Nodes: s.n, EdgesPerNode: s.perNode, Seed: 1}))
+		h := benchDense(s.n, s.d)
+		for i, v := range h.Data {
+			h.Data[i] = max(v, 0)
+		}
+		bias := benchDense(1, s.d).Data
+		report := func(b *testing.B) {
+			b.ReportMetric(float64(adj.NNZ())*float64(s.d)*float64(b.N)/b.Elapsed().Seconds()/1e9, "GMAC/s")
+		}
+
+		out := mat.New(s.n, s.d)
+		b.Run(s.name+"/fp64", func(b *testing.B) {
+			for i := 0; i < b.N; i++ {
+				adj.MulDenseBiasReLUInto(out, h, bias, nil, true, 1)
+			}
+			report(b)
+		})
+
+		h32, out32 := mat.New32(s.n, s.d), mat.New32(s.n, s.d)
+		mat.Convert32Into(h32, h)
+		bias32 := make([]float32, s.d)
+		for j, v := range bias {
+			bias32[j] = float32(v)
+		}
+		b.Run(s.name+"/fp32", func(b *testing.B) {
+			for i := 0; i < b.N; i++ {
+				adj.MulDense32BiasReLUInto(out32, h32, bias32, nil, true, 1)
+			}
+			report(b)
+		})
+
+		hScale := mat.SymmetricScale(h.MaxAbs())
+		valScale := mat.SymmetricScale(adj.ValMaxAbs())
+		hq, outq := mat.NewI8(s.n, s.d), mat.NewI8(s.n, s.d)
+		mat.QuantizeI8Into(hq, h, hScale)
+		deq, dstScales := make([]float64, s.d), make([]float64, s.d)
+		for j := range deq {
+			deq[j], dstScales[j] = hScale*valScale, 0.05
+		}
+		acc := make([]int32, s.d)
+		b.Run(s.name+"/int8", func(b *testing.B) {
+			for i := 0; i < b.N; i++ {
+				adj.MulDenseI8EpilogueRangeInto(outq, hq, 0, s.n, valScale, deq, bias, nil, nil, true, dstScales, acc, nil)
+			}
+			report(b)
+		})
+	}
+}

@@ -127,10 +127,10 @@ func matMul32EpilogueRange(a, b, dst *Matrix32, lo, hi int, bias []float32, res 
 	}
 }
 
-// matMulRow32 computes one float32 output row with the zero-skip quad
-// path of matMulRow: fully non-zero quads of k take the four-stream
-// kernel after one combined test, mixed quads fall back to per-element
-// skip, the first write uses a Set kernel, all-zero rows are cleared.
+// matMulRow32 computes one float32 output row with a zero-skip quad
+// path: fully non-zero quads of adjacent k take the four-stream kernel
+// after one combined test, mixed quads fall back to per-element skip,
+// the first write uses a Set kernel, all-zero rows are cleared.
 func matMulRow32(arow []float32, b *Matrix32, orow []float32, n, p int) {
 	k, inited := 0, false
 	for ; k+4 <= n; k += 4 {

@@ -129,44 +129,42 @@ func matMulRowPairDense(r1, r2 []float64, b *Matrix, o1, o2 []float64, n, p int)
 	}
 }
 
-// matMulRow computes one output row with the zero-skip path: quads of
-// consecutive k that are fully non-zero take the four-stream kernel after
-// one combined test; mixed quads fall back to per-element skip. The first
-// write to the row uses a Set kernel; all-zero rows are cleared.
+// matMulRow computes one output row, skipping the zero entries of arow:
+// the non-zeros are collected in k order and fed four at a time through
+// the four-stream kernel (the first group through its Set form), and the
+// last one to three go one at a time. Grouping any four non-zeros, not
+// only four adjacent ones, keeps post-ReLU and bag-of-words rows on the
+// four-stream kernel, and since Axpy4 is four sequential Axpy calls bit
+// for bit, every output element is still accumulated in the order of the
+// one-at-a-time loop. All-zero rows are cleared.
 func matMulRow(arow []float64, b *Matrix, orow []float64, n, p int) {
-	k, inited := 0, false
-	for ; k+4 <= n; k += 4 {
-		a1, a2, a3, a4 := arow[k], arow[k+1], arow[k+2], arow[k+3]
-		if a1 != 0 && a2 != 0 && a3 != 0 && a4 != 0 {
-			if inited {
-				Axpy4(a1, b.Data[k*p:(k+1)*p], a2, b.Data[(k+1)*p:(k+2)*p],
-					a3, b.Data[(k+2)*p:(k+3)*p], a4, b.Data[(k+3)*p:(k+4)*p], orow)
-			} else {
-				Axpy4Set(a1, b.Data[k*p:(k+1)*p], a2, b.Data[(k+1)*p:(k+2)*p],
-					a3, b.Data[(k+2)*p:(k+3)*p], a4, b.Data[(k+3)*p:(k+4)*p], orow)
-				inited = true
-			}
+	var ks [4]int
+	m, inited := 0, false
+	for k, av := range arow[:n] {
+		if av == 0 {
 			continue
 		}
-		for j := k; j < k+4; j++ {
-			if av := arow[j]; av != 0 {
-				if inited {
-					Axpy(av, b.Data[j*p:(j+1)*p], orow)
-				} else {
-					AxpySet(av, b.Data[j*p:(j+1)*p], orow)
-					inited = true
-				}
-			}
+		ks[m] = k
+		if m++; m < 4 {
+			continue
+		}
+		m = 0
+		k1, k2, k3, k4 := ks[0], ks[1], ks[2], ks[3]
+		if inited {
+			Axpy4(arow[k1], b.Data[k1*p:(k1+1)*p], arow[k2], b.Data[k2*p:(k2+1)*p],
+				arow[k3], b.Data[k3*p:(k3+1)*p], arow[k4], b.Data[k4*p:(k4+1)*p], orow)
+		} else {
+			Axpy4Set(arow[k1], b.Data[k1*p:(k1+1)*p], arow[k2], b.Data[k2*p:(k2+1)*p],
+				arow[k3], b.Data[k3*p:(k3+1)*p], arow[k4], b.Data[k4*p:(k4+1)*p], orow)
+			inited = true
 		}
 	}
-	for ; k < n; k++ {
-		if av := arow[k]; av != 0 {
-			if inited {
-				Axpy(av, b.Data[k*p:(k+1)*p], orow)
-			} else {
-				AxpySet(av, b.Data[k*p:(k+1)*p], orow)
-				inited = true
-			}
+	for _, k := range ks[:m] {
+		if inited {
+			Axpy(arow[k], b.Data[k*p:(k+1)*p], orow)
+		} else {
+			AxpySet(arow[k], b.Data[k*p:(k+1)*p], orow)
+			inited = true
 		}
 	}
 	if !inited {
