@@ -12,6 +12,7 @@ import (
 	"gnnvault/internal/datasets"
 	"gnnvault/internal/enclave"
 	"gnnvault/internal/graph"
+	"gnnvault/internal/hostcpu"
 	"gnnvault/internal/substitute"
 )
 
@@ -36,14 +37,21 @@ var goldenFP64 = map[string]string{
 
 const goldenShardInt8 = "36dff31e87b2612b704f88e51be503ee5f5874042dae8ea44243590a437e2c91"
 
-// skipUnlessGoldenPlatform skips off amd64: the Go spec lets other
-// backends fuse x*y+z into one FMA (arm64, ppc64le and s390x do), which
-// rounds once instead of twice and so legitimately yields other bits
-// from the same pure-Go kernels.
+// skipUnlessGoldenPlatform skips where the digests cannot hold. Off
+// amd64 the Go spec lets the backend fuse x*y+z into one FMA (arm64,
+// ppc64le and s390x do), which rounds once instead of twice and so
+// legitimately yields other bits from the same pure-Go kernels. On amd64
+// the digests were recorded on a host with AVX and FMA, where math.Exp —
+// which training runs through the softmax loss — evaluates its
+// polynomial with fused multiply-adds; a host without them takes
+// math.Exp's unfused path, whose last bits differ.
 func skipUnlessGoldenPlatform(t *testing.T) {
 	t.Helper()
 	if runtime.GOARCH != "amd64" {
 		t.Skipf("golden digests are recorded for amd64; %s may fuse multiply-adds into FMAs and round differently", runtime.GOARCH)
+	}
+	if !hostcpu.FMA {
+		t.Skip("golden digests are recorded on an AVX+FMA host; without FMA math.Exp takes its unfused path and training rounds differently")
 	}
 }
 

@@ -91,29 +91,6 @@ func Axpy4Set(a1 float64, x1 []float64, a2 float64, x2 []float64, a3 float64, x3
 	axpy4SetGo(a1, x1, a2, x2, a3, x3, a4, x4, y)
 }
 
-// axpy4Pair accumulates four scaled rows into two destinations at once —
-// the dense mat-mul micro-kernel: the four x rows (weight rows) are
-// loaded once per pair of output rows instead of once per row. Each
-// destination element is left-associated exactly like Axpy4.
-func axpy4Pair(a11, a12, a13, a14, a21, a22, a23, a24 float64, x1, x2, x3, x4, y1, y2 []float64) {
-	if useAVX2 {
-		n := len(y1)
-		axpy4PairAVX2(a11, a12, a13, a14, a21, a22, a23, a24, x1[:n], x2[:n], x3[:n], x4[:n], y1, y2[:n])
-		return
-	}
-	axpy4PairGo(a11, a12, a13, a14, a21, a22, a23, a24, x1, x2, x3, x4, y1, y2)
-}
-
-// axpy4PairSet is the initialising form of axpy4Pair.
-func axpy4PairSet(a11, a12, a13, a14, a21, a22, a23, a24 float64, x1, x2, x3, x4, y1, y2 []float64) {
-	if useAVX2 {
-		n := len(y1)
-		axpy4PairSetAVX2(a11, a12, a13, a14, a21, a22, a23, a24, x1[:n], x2[:n], x3[:n], x4[:n], y1, y2[:n])
-		return
-	}
-	axpy4PairSetGo(a11, a12, a13, a14, a21, a22, a23, a24, x1, x2, x3, x4, y1, y2)
-}
-
 // Dot returns Σ x[j]·y[j] over j < len(x), accumulating in index order
 // with a single accumulator (bit-identical to the naive loop; the unroll
 // only removes bounds checks and branch overhead). len(y) must be at
@@ -262,33 +239,5 @@ func axpy4SetGo(a1 float64, x1 []float64, a2 float64, x2 []float64, a3 float64, 
 	}
 	for ; i < n; i++ {
 		y[i] = a1*x1[i] + a2*x2[i] + a3*x3[i] + a4*x4[i]
-	}
-}
-
-func axpy4PairGo(a11, a12, a13, a14, a21, a22, a23, a24 float64, x1, x2, x3, x4, y1, y2 []float64) {
-	n := len(y1)
-	x1 = x1[:n]
-	x2 = x2[:n]
-	x3 = x3[:n]
-	x4 = x4[:n]
-	y2 = y2[:n]
-	for j := 0; j < n; j++ {
-		v1, v2, v3, v4 := x1[j], x2[j], x3[j], x4[j]
-		y1[j] = y1[j] + a11*v1 + a12*v2 + a13*v3 + a14*v4
-		y2[j] = y2[j] + a21*v1 + a22*v2 + a23*v3 + a24*v4
-	}
-}
-
-func axpy4PairSetGo(a11, a12, a13, a14, a21, a22, a23, a24 float64, x1, x2, x3, x4, y1, y2 []float64) {
-	n := len(y1)
-	x1 = x1[:n]
-	x2 = x2[:n]
-	x3 = x3[:n]
-	x4 = x4[:n]
-	y2 = y2[:n]
-	for j := 0; j < n; j++ {
-		v1, v2, v3, v4 := x1[j], x2[j], x3[j], x4[j]
-		y1[j] = a11*v1 + a12*v2 + a13*v3 + a14*v4
-		y2[j] = a21*v1 + a22*v2 + a23*v3 + a24*v4
 	}
 }

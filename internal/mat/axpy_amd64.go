@@ -1,14 +1,11 @@
 package mat
 
-// useAVX2 selects the AVX2 bodies of the axpy kernels (axpy_amd64.s). It
-// is set once, before any kernel runs, from CPUID and XGETBV: the CPU
-// must report AVX and AVX2 and the OS must save the YMM state.
-var useAVX2 = cpuHasAVX2()
+import "gnnvault/internal/hostcpu"
 
-// cpuHasAVX2 reports whether AVX2 instructions may run: CPUID leaf 1
-// OSXSAVE and AVX, XCR0 bits 1–2 (SSE and AVX state enabled), and CPUID
-// leaf 7 AVX2.
-func cpuHasAVX2() bool
+// useAVX2 selects the AVX2 bodies of the axpy kernels (axpy_amd64.s). It
+// is set once, before any kernel runs: the CPU must report AVX and AVX2
+// and the OS must save the YMM state.
+var useAVX2 = hostcpu.AVX2
 
 // The AVX2 bodies. Every x slice has already been resliced to the
 // destination's length by the Go wrapper, so the assembly reads exactly
@@ -31,9 +28,3 @@ func axpy4AVX2(a1 float64, x1 []float64, a2 float64, x2 []float64, a3 float64, x
 
 //go:noescape
 func axpy4SetAVX2(a1 float64, x1 []float64, a2 float64, x2 []float64, a3 float64, x3 []float64, a4 float64, x4 []float64, y []float64)
-
-//go:noescape
-func axpy4PairAVX2(a11, a12, a13, a14, a21, a22, a23, a24 float64, x1, x2, x3, x4, y1, y2 []float64)
-
-//go:noescape
-func axpy4PairSetAVX2(a11, a12, a13, a14, a21, a22, a23, a24 float64, x1, x2, x3, x4, y1, y2 []float64)

@@ -11,42 +11,6 @@
 // elements per iteration as four independent YMM chains, then 4, then 1.
 // The Go wrappers have already resliced every input to the element count.
 
-// func cpuHasAVX2() bool
-TEXT ·cpuHasAVX2(SB), NOSPLIT, $0-1
-	// Leaf 7 (structured extended features) must exist.
-	XORL AX, AX
-	CPUID
-	CMPL AX, $7
-	JLT  no
-
-	// Leaf 1: ECX bit 27 (OSXSAVE) and bit 28 (AVX).
-	MOVL $1, AX
-	XORL CX, CX
-	CPUID
-	ANDL $0x18000000, CX
-	CMPL CX, $0x18000000
-	JNE  no
-
-	// XCR0 bits 1 and 2: the OS saves SSE and AVX (YMM) state.
-	XORL CX, CX
-	XGETBV
-	ANDL $6, AX
-	CMPL AX, $6
-	JNE  no
-
-	// Leaf 7, subleaf 0: EBX bit 5 (AVX2).
-	MOVL $7, AX
-	XORL CX, CX
-	CPUID
-	ANDL $0x20, BX
-	JEQ  no
-	MOVB $1, ret+0(FP)
-	RET
-
-no:
-	MOVB $0, ret+0(FP)
-	RET
-
 // func axpyAVX2(alpha float64, x, y []float64)
 TEXT ·axpyAVX2(SB), NOSPLIT, $0-56
 	VBROADCASTSD alpha+0(FP), Y0
@@ -439,164 +403,6 @@ tail:
 	VMULSD (R11)(AX*1), X3, X8
 	VADDSD X8, X4, X4
 	VMOVSD X4, (DI)(AX*1)
-	ADDQ $8, AX
-	DECQ CX
-	JMP  tail
-
-done:
-	VZEROUPPER
-	RET
-
-// func axpy4PairAVX2(a11, a12, a13, a14, a21, a22, a23, a24 float64, x1, x2, x3, x4, y1, y2 []float64)
-TEXT ·axpy4PairAVX2(SB), NOSPLIT, $0-208
-	VBROADCASTSD a11+0(FP), Y0
-	VBROADCASTSD a12+8(FP), Y1
-	VBROADCASTSD a13+16(FP), Y2
-	VBROADCASTSD a14+24(FP), Y3
-	VBROADCASTSD a21+32(FP), Y4
-	VBROADCASTSD a22+40(FP), Y5
-	VBROADCASTSD a23+48(FP), Y6
-	VBROADCASTSD a24+56(FP), Y7
-	MOVQ x1_base+64(FP), R8
-	MOVQ x2_base+88(FP), R9
-	MOVQ x3_base+112(FP), R10
-	MOVQ x4_base+136(FP), R11
-	MOVQ y1_base+160(FP), DI
-	MOVQ y2_base+184(FP), DX
-	MOVQ y1_len+168(FP), CX
-	XORQ AX, AX
-
-loop4:
-	CMPQ CX, $4
-	JLT  tail
-	VMOVUPD (R8)(AX*1), Y8
-	VMOVUPD (R9)(AX*1), Y9
-	VMOVUPD (R10)(AX*1), Y10
-	VMOVUPD (R11)(AX*1), Y11
-	VMULPD Y8, Y0, Y12
-	VMULPD Y8, Y4, Y13
-	VADDPD (DI)(AX*1), Y12, Y12
-	VADDPD (DX)(AX*1), Y13, Y13
-	VMULPD Y9, Y1, Y14
-	VMULPD Y9, Y5, Y15
-	VADDPD Y14, Y12, Y12
-	VADDPD Y15, Y13, Y13
-	VMULPD Y10, Y2, Y14
-	VMULPD Y10, Y6, Y15
-	VADDPD Y14, Y12, Y12
-	VADDPD Y15, Y13, Y13
-	VMULPD Y11, Y3, Y14
-	VMULPD Y11, Y7, Y15
-	VADDPD Y14, Y12, Y12
-	VADDPD Y15, Y13, Y13
-	VMOVUPD Y12, (DI)(AX*1)
-	VMOVUPD Y13, (DX)(AX*1)
-	ADDQ $32, AX
-	SUBQ $4, CX
-	JMP  loop4
-
-tail:
-	TESTQ CX, CX
-	JEQ   done
-	VMOVSD (R8)(AX*1), X8
-	VMOVSD (R9)(AX*1), X9
-	VMOVSD (R10)(AX*1), X10
-	VMOVSD (R11)(AX*1), X11
-	VMULSD X8, X0, X12
-	VMULSD X8, X4, X13
-	VADDSD (DI)(AX*1), X12, X12
-	VADDSD (DX)(AX*1), X13, X13
-	VMULSD X9, X1, X14
-	VMULSD X9, X5, X15
-	VADDSD X14, X12, X12
-	VADDSD X15, X13, X13
-	VMULSD X10, X2, X14
-	VMULSD X10, X6, X15
-	VADDSD X14, X12, X12
-	VADDSD X15, X13, X13
-	VMULSD X11, X3, X14
-	VMULSD X11, X7, X15
-	VADDSD X14, X12, X12
-	VADDSD X15, X13, X13
-	VMOVSD X12, (DI)(AX*1)
-	VMOVSD X13, (DX)(AX*1)
-	ADDQ $8, AX
-	DECQ CX
-	JMP  tail
-
-done:
-	VZEROUPPER
-	RET
-
-// func axpy4PairSetAVX2(a11, a12, a13, a14, a21, a22, a23, a24 float64, x1, x2, x3, x4, y1, y2 []float64)
-TEXT ·axpy4PairSetAVX2(SB), NOSPLIT, $0-208
-	VBROADCASTSD a11+0(FP), Y0
-	VBROADCASTSD a12+8(FP), Y1
-	VBROADCASTSD a13+16(FP), Y2
-	VBROADCASTSD a14+24(FP), Y3
-	VBROADCASTSD a21+32(FP), Y4
-	VBROADCASTSD a22+40(FP), Y5
-	VBROADCASTSD a23+48(FP), Y6
-	VBROADCASTSD a24+56(FP), Y7
-	MOVQ x1_base+64(FP), R8
-	MOVQ x2_base+88(FP), R9
-	MOVQ x3_base+112(FP), R10
-	MOVQ x4_base+136(FP), R11
-	MOVQ y1_base+160(FP), DI
-	MOVQ y2_base+184(FP), DX
-	MOVQ y1_len+168(FP), CX
-	XORQ AX, AX
-
-loop4:
-	CMPQ CX, $4
-	JLT  tail
-	VMOVUPD (R8)(AX*1), Y8
-	VMOVUPD (R9)(AX*1), Y9
-	VMOVUPD (R10)(AX*1), Y10
-	VMOVUPD (R11)(AX*1), Y11
-	VMULPD Y8, Y0, Y12
-	VMULPD Y8, Y4, Y13
-	VMULPD Y9, Y1, Y14
-	VMULPD Y9, Y5, Y15
-	VADDPD Y14, Y12, Y12
-	VADDPD Y15, Y13, Y13
-	VMULPD Y10, Y2, Y14
-	VMULPD Y10, Y6, Y15
-	VADDPD Y14, Y12, Y12
-	VADDPD Y15, Y13, Y13
-	VMULPD Y11, Y3, Y14
-	VMULPD Y11, Y7, Y15
-	VADDPD Y14, Y12, Y12
-	VADDPD Y15, Y13, Y13
-	VMOVUPD Y12, (DI)(AX*1)
-	VMOVUPD Y13, (DX)(AX*1)
-	ADDQ $32, AX
-	SUBQ $4, CX
-	JMP  loop4
-
-tail:
-	TESTQ CX, CX
-	JEQ   done
-	VMOVSD (R8)(AX*1), X8
-	VMOVSD (R9)(AX*1), X9
-	VMOVSD (R10)(AX*1), X10
-	VMOVSD (R11)(AX*1), X11
-	VMULSD X8, X0, X12
-	VMULSD X8, X4, X13
-	VMULSD X9, X1, X14
-	VMULSD X9, X5, X15
-	VADDSD X14, X12, X12
-	VADDSD X15, X13, X13
-	VMULSD X10, X2, X14
-	VMULSD X10, X6, X15
-	VADDSD X14, X12, X12
-	VADDSD X15, X13, X13
-	VMULSD X11, X3, X14
-	VMULSD X11, X7, X15
-	VADDSD X14, X12, X12
-	VADDSD X15, X13, X13
-	VMOVSD X12, (DI)(AX*1)
-	VMOVSD X13, (DX)(AX*1)
 	ADDQ $8, AX
 	DECQ CX
 	JMP  tail

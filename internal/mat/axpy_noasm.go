@@ -26,11 +26,3 @@ func axpy4AVX2(a1 float64, x1 []float64, a2 float64, x2 []float64, a3 float64, x
 func axpy4SetAVX2(a1 float64, x1 []float64, a2 float64, x2 []float64, a3 float64, x3 []float64, a4 float64, x4 []float64, y []float64) {
 	axpy4SetGo(a1, x1, a2, x2, a3, x3, a4, x4, y)
 }
-
-func axpy4PairAVX2(a11, a12, a13, a14, a21, a22, a23, a24 float64, x1, x2, x3, x4, y1, y2 []float64) {
-	axpy4PairGo(a11, a12, a13, a14, a21, a22, a23, a24, x1, x2, x3, x4, y1, y2)
-}
-
-func axpy4PairSetAVX2(a11, a12, a13, a14, a21, a22, a23, a24 float64, x1, x2, x3, x4, y1, y2 []float64) {
-	axpy4PairSetGo(a11, a12, a13, a14, a21, a22, a23, a24, x1, x2, x3, x4, y1, y2)
-}

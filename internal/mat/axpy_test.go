@@ -42,82 +42,59 @@ func sameFloat(a, b float64) bool {
 	return math.Float64bits(a) == math.Float64bits(b) || (math.IsNaN(a) && math.IsNaN(b))
 }
 
-// axpyKernel runs one kernel of the family over streams as/xs into y (or
-// ys, for the two-destination pair kernels).
+// axpyKernel runs one kernel of the family over streams as/xs into y.
 type axpyKernel struct {
 	name    string
 	streams int
 	set     bool
-	pair    bool
-	run     func(as []float64, xs [][]float64, y1, y2 []float64)
+	run     func(as []float64, xs [][]float64, y []float64)
 }
 
 var axpyKernels = []axpyKernel{
-	{"Axpy", 1, false, false, func(as []float64, xs [][]float64, y, _ []float64) { Axpy(as[0], xs[0], y) }},
-	{"AxpySet", 1, true, false, func(as []float64, xs [][]float64, y, _ []float64) { AxpySet(as[0], xs[0], y) }},
-	{"Axpy2", 2, false, false, func(as []float64, xs [][]float64, y, _ []float64) { Axpy2(as[0], xs[0], as[1], xs[1], y) }},
-	{"Axpy2Set", 2, true, false, func(as []float64, xs [][]float64, y, _ []float64) { Axpy2Set(as[0], xs[0], as[1], xs[1], y) }},
-	{"Axpy4", 4, false, false, func(as []float64, xs [][]float64, y, _ []float64) {
+	{"Axpy", 1, false, func(as []float64, xs [][]float64, y []float64) { Axpy(as[0], xs[0], y) }},
+	{"AxpySet", 1, true, func(as []float64, xs [][]float64, y []float64) { AxpySet(as[0], xs[0], y) }},
+	{"Axpy2", 2, false, func(as []float64, xs [][]float64, y []float64) { Axpy2(as[0], xs[0], as[1], xs[1], y) }},
+	{"Axpy2Set", 2, true, func(as []float64, xs [][]float64, y []float64) { Axpy2Set(as[0], xs[0], as[1], xs[1], y) }},
+	{"Axpy4", 4, false, func(as []float64, xs [][]float64, y []float64) {
 		Axpy4(as[0], xs[0], as[1], xs[1], as[2], xs[2], as[3], xs[3], y)
 	}},
-	{"Axpy4Set", 4, true, false, func(as []float64, xs [][]float64, y, _ []float64) {
+	{"Axpy4Set", 4, true, func(as []float64, xs [][]float64, y []float64) {
 		Axpy4Set(as[0], xs[0], as[1], xs[1], as[2], xs[2], as[3], xs[3], y)
-	}},
-	{"axpy4Pair", 4, false, true, func(as []float64, xs [][]float64, y1, y2 []float64) {
-		axpy4Pair(as[0], as[1], as[2], as[3], as[4], as[5], as[6], as[7], xs[0], xs[1], xs[2], xs[3], y1, y2)
-	}},
-	{"axpy4PairSet", 4, true, true, func(as []float64, xs [][]float64, y1, y2 []float64) {
-		axpy4PairSet(as[0], as[1], as[2], as[3], as[4], as[5], as[6], as[7], xs[0], xs[1], xs[2], xs[3], y1, y2)
 	}},
 }
 
 // checkAxpyKernels runs every kernel over n elements of the given
 // operands through the dispatched body and the pure-Go body and compares
-// both with refAxpy. Destinations sit inside larger buffers whose guard
-// elements must survive, so a body that writes past n fails.
-func checkAxpyKernels(t *testing.T, n int, as []float64, xs [][]float64, y0 [2][]float64) {
+// both with refAxpy. The destination sits inside a larger buffer whose
+// guard elements must survive, so a body that writes past n fails.
+func checkAxpyKernels(t *testing.T, n int, as []float64, xs [][]float64, y0 []float64) {
 	t.Helper()
 	const guard = 3
 	for _, k := range axpyKernels {
-		var want [2][]float64
-		for d := range want {
-			want[d] = append([]float64(nil), y0[d][:n]...)
-		}
-		refAxpy(k.set, as[:k.streams], xs, want[0])
-		if k.pair {
-			refAxpy(k.set, as[4:8], xs, want[1])
-		}
+		want := append([]float64(nil), y0[:n]...)
+		refAxpy(k.set, as[:k.streams], xs, want)
 		for _, body := range []string{"dispatched", "go"} {
-			var bufs [2][]float64
-			for d := range bufs {
-				bufs[d] = make([]float64, n+guard)
-				copy(bufs[d], y0[d][:n])
-				for g := n; g < n+guard; g++ {
-					bufs[d][g] = 12345
-				}
+			buf := make([]float64, n+guard)
+			copy(buf, y0[:n])
+			for g := n; g < n+guard; g++ {
+				buf[g] = 12345
 			}
 			if body == "go" {
 				restore := forceGoBodies()
-				k.run(as, xs, bufs[0][:n], bufs[1][:n])
+				k.run(as, xs, buf[:n])
 				restore()
 			} else {
-				k.run(as, xs, bufs[0][:n], bufs[1][:n])
+				k.run(as, xs, buf[:n])
 			}
-			dests := 1
-			if k.pair {
-				dests = 2
-			}
-			for d := 0; d < dests; d++ {
-				for j := 0; j < n; j++ {
-					if !sameFloat(bufs[d][j], want[d][j]) {
-						t.Fatalf("%s (%s body) n=%d dest %d elem %d = %v (%#x), reference %v (%#x)",
-							k.name, body, n, d, j, bufs[d][j], math.Float64bits(bufs[d][j]), want[d][j], math.Float64bits(want[d][j]))
-					}
+			for j := 0; j < n; j++ {
+				if !sameFloat(buf[j], want[j]) {
+					t.Fatalf("%s (%s body) n=%d elem %d = %v (%#x), reference %v (%#x)",
+						k.name, body, n, j, buf[j], math.Float64bits(buf[j]), want[j], math.Float64bits(want[j]))
 				}
-				for g := n; g < n+guard; g++ {
-					if bufs[d][g] != 12345 {
-						t.Fatalf("%s (%s body) n=%d dest %d: wrote guard element %d", k.name, body, n, d, g)
-					}
+			}
+			for g := n; g < n+guard; g++ {
+				if buf[g] != 12345 {
+					t.Fatalf("%s (%s body) n=%d: wrote guard element %d", k.name, body, n, g)
 				}
 			}
 		}
@@ -160,7 +137,7 @@ func TestAxpyBodiesMatchReference(t *testing.T) {
 			if trial >= 2 {
 				draw = func() float64 { return edgeValue(rng) }
 			}
-			as := make([]float64, 8)
+			as := make([]float64, 4)
 			for i := range as {
 				as[i] = draw()
 			}
@@ -171,12 +148,9 @@ func TestAxpyBodiesMatchReference(t *testing.T) {
 					xs[s][j] = draw()
 				}
 			}
-			var y0 [2][]float64
-			for d := range y0 {
-				y0[d] = make([]float64, n)
-				for j := range y0[d] {
-					y0[d][j] = draw()
-				}
+			y0 := make([]float64, n)
+			for j := range y0 {
+				y0[j] = draw()
 			}
 			checkAxpyKernels(t, n, as, xs, y0)
 		}
@@ -206,7 +180,7 @@ func FuzzAxpyKernels(f *testing.F) {
 				return v
 			}
 		}()
-		as := make([]float64, 8)
+		as := make([]float64, 4)
 		for i := range as {
 			as[i] = next()
 		}
@@ -217,12 +191,9 @@ func FuzzAxpyKernels(f *testing.F) {
 				xs[s][j] = next()
 			}
 		}
-		var y0 [2][]float64
-		for d := range y0 {
-			y0[d] = make([]float64, size)
-			for j := range y0[d] {
-				y0[d][j] = next()
-			}
+		y0 := make([]float64, size)
+		for j := range y0 {
+			y0[j] = next()
 		}
 		checkAxpyKernels(t, size, as, xs, y0)
 	})
@@ -235,7 +206,7 @@ func FuzzAxpyKernels(f *testing.F) {
 func TestAxpyKernelsAllocFree(t *testing.T) {
 	b := New(8, 40)
 	allocs := testing.AllocsPerRun(100, func() {
-		var x1, x2, x3, x4, y1, y2 [40]float64
+		var x1, x2, x3, x4, y1 [40]float64
 		arow := [8]float64{1, 0, 2, 3, 0, 4, 5, 6}
 		Axpy(2, x1[:], y1[:])
 		AxpySet(2, x1[:], y1[:])
@@ -243,8 +214,6 @@ func TestAxpyKernelsAllocFree(t *testing.T) {
 		Axpy2Set(2, x1[:], 3, x2[:], y1[:])
 		Axpy4(2, x1[:], 3, x2[:], 4, x3[:], 5, x4[:], y1[:])
 		Axpy4Set(2, x1[:], 3, x2[:], 4, x3[:], 5, x4[:], y1[:])
-		axpy4Pair(1, 2, 3, 4, 5, 6, 7, 8, x1[:], x2[:], x3[:], x4[:], y1[:], y2[:])
-		axpy4PairSet(1, 2, 3, 4, 5, 6, 7, 8, x1[:], x2[:], x3[:], x4[:], y1[:], y2[:])
 		matMulRow(arow[:], b, y1[:], 8, 40)
 	})
 	if allocs != 0 {

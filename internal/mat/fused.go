@@ -101,42 +101,22 @@ func MatMulBiasReLUInto(dst, a, b *Matrix, bias []float64, res *Matrix, relu boo
 }
 
 // matMulEpilogueRange computes rows [lo,hi) of the product and applies
-// the epilogue to each row (or dense-pair of rows) while it is still
-// cache-hot instead of in a trailing full pass — rows are independent, so
-// the element order, and therefore the bits, are unchanged. The caller
-// validated epilogue shapes; with no epilogue set this is the plain
-// banded product body.
+// the epilogue to each row while it is still cache-hot instead of in a
+// trailing full pass — rows are independent, so the element order, and
+// therefore the bits, are unchanged. The caller validated epilogue
+// shapes; with no epilogue set this is the plain banded product body.
 func matMulEpilogueRange(a, b, dst *Matrix, lo, hi int, bias []float64, res *Matrix, relu bool) {
 	n, p := a.Cols, b.Cols
 	epi := bias != nil || res != nil || relu
-	resRow := func(i int) []float64 {
-		if res == nil {
-			return nil
-		}
-		return res.Data[i*p : (i+1)*p]
-	}
-	i := lo
-	for ; i+2 <= hi; i += 2 {
-		r1 := a.Data[i*n : (i+1)*n]
-		r2 := a.Data[(i+1)*n : (i+2)*n]
-		o1 := dst.Data[i*p : (i+1)*p]
-		o2 := dst.Data[(i+1)*p : (i+2)*p]
-		if n >= 4 && denseRow(r1) && denseRow(r2) {
-			matMulRowPairDense(r1, r2, b, o1, o2, n, p)
-		} else {
-			matMulRow(r1, b, o1, n, p)
-			matMulRow(r2, b, o2, n, p)
-		}
-		if epi {
-			ApplyEpilogueRow(o1, bias, resRow(i), relu)
-			ApplyEpilogueRow(o2, bias, resRow(i+1), relu)
-		}
-	}
-	if i < hi {
+	for i := lo; i < hi; i++ {
 		orow := dst.Data[i*p : (i+1)*p]
 		matMulRow(a.Data[i*n:(i+1)*n], b, orow, n, p)
 		if epi {
-			ApplyEpilogueRow(orow, bias, resRow(i), relu)
+			var rrow []float64
+			if res != nil {
+				rrow = res.Data[i*p : (i+1)*p]
+			}
+			ApplyEpilogueRow(orow, bias, rrow, relu)
 		}
 	}
 }

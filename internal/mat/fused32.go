@@ -6,14 +6,14 @@ import (
 )
 
 // float32 kernel family. These mirror the fp64 kernels (matmul.go,
-// fused.go, into.go) over Matrix32: same zero-skip quad row kernel, same
-// banded parallel driver, same canonical bias → residual → ReLU epilogue
-// order, and the same per-row element order — so tiled, direct and
-// banded-parallel executions are bit-identical *within* fp32 by the same
-// argument that pins the fp64 engine. The only structural difference is
-// that the fp32 row kernel has no dense-pair micro-kernel: reduced
-// precision already halves memory traffic, and the single-row quad path
-// keeps the family small.
+// fused.go, into.go) over Matrix32: same banded parallel driver, same
+// canonical bias → residual → ReLU epilogue order, and the same per-row
+// element order — so tiled, direct and banded-parallel executions are
+// bit-identical *within* fp32 by the same argument that pins the fp64
+// engine. The only structural difference is in the row kernel: fp64's
+// feeds any four non-zeros of a row to one four-stream call, while
+// matMulRow32 takes the four-stream kernel only when four adjacent k are
+// all non-zero.
 
 // ApplyEpilogueRow32 applies the fused epilogue to one float32 output
 // row: bias (broadcast), then residual row, then ReLU (non-positive and

@@ -88,8 +88,7 @@ func MatMulSerial(a, b *Matrix) *Matrix {
 	return out
 }
 
-// The row kernels below compute out = a·b one output row (or dense pair
-// of rows) at a time, streaming through contiguous rows of b and out.
+// The row kernel below computes out = a·b one output row at a time, streaming through contiguous rows of b and out.
 // The destination needs no prior zeroing: each output row is initialised
 // by its first axpy group (Set form) and all-zero input rows are cleared
 // explicitly. Zero entries of a are skipped — post-ReLU activations are
@@ -99,35 +98,6 @@ func MatMulSerial(a, b *Matrix) *Matrix {
 // keeping the per-element accumulation order (and bits) of the
 // one-at-a-time loop. The banded driver over these kernels lives in
 // matMulEpilogueRange (fused.go) — one copy, epilogue optional.
-
-// denseRow reports whether the row contains no exact zeros.
-func denseRow(r []float64) bool {
-	for _, v := range r {
-		if v == 0 {
-			return false
-		}
-	}
-	return true
-}
-
-// matMulRowPairDense computes two output rows over a pair of fully dense
-// input rows: quads of k feed the shared weight rows through the
-// two-destination four-stream kernel, the first quad initialising both
-// rows (n >= 4 is the caller's guard).
-func matMulRowPairDense(r1, r2 []float64, b *Matrix, o1, o2 []float64, n, p int) {
-	axpy4PairSet(r1[0], r1[1], r1[2], r1[3], r2[0], r2[1], r2[2], r2[3],
-		b.Data[0:p], b.Data[p:2*p], b.Data[2*p:3*p], b.Data[3*p:4*p], o1, o2)
-	k := 4
-	for ; k+4 <= n; k += 4 {
-		axpy4Pair(r1[k], r1[k+1], r1[k+2], r1[k+3], r2[k], r2[k+1], r2[k+2], r2[k+3],
-			b.Data[k*p:(k+1)*p], b.Data[(k+1)*p:(k+2)*p], b.Data[(k+2)*p:(k+3)*p], b.Data[(k+3)*p:(k+4)*p], o1, o2)
-	}
-	for ; k < n; k++ {
-		brow := b.Data[k*p : (k+1)*p]
-		Axpy(r1[k], brow, o1)
-		Axpy(r2[k], brow, o2)
-	}
-}
 
 // matMulRow computes one output row, skipping the zero entries of arow:
 // the non-zeros are collected in k order and fed four at a time through
